@@ -5,17 +5,24 @@ with k distinct edge instances e_1..e_k such that {v_i, v_{i+1}} is
 contained in e_i for every i.  A Berge cycle of length k is k distinct
 vertices and k distinct instances with the containments read cyclically.
 
-Detection walks vertex sequences depth-first while instance assignment
-is delegated to an incremental bipartite matching between consecutive
-vertex pairs ("slots") and the instances containing them.  Extending the
-sequence is allowed only when the matching can be augmented, i.e. only
-when Hall's condition still holds for the slots chosen so far.  This
-never branches over interchangeable instances, which keeps sunflower and
+Every query runs the same depth-first walk over vertex sequences.  Each
+call builds one index over vertex pairs: for every vertex, its
+neighbours in ascending order, each mapped to the ascending ids of the
+instances that contain both.  The walk takes its steps from that index,
+and instance assignment is an incremental bipartite matching between
+consecutive vertex pairs ("slots") and the same instance lists.  A step
+is allowed only when the matching can be augmented, i.e. only when
+Hall's condition still holds for the slots chosen so far.  This never
+branches over interchangeable instances, which keeps sunflower and
 high-multiplicity inputs fast, and it is exact: a full-length sequence
-with a complete matching is precisely a Berge witness.
+with a complete matching is precisely a Berge witness.  Paths and
+cycles differ only in where the walk stops and whether a sequence
+closes back to its start.
 
-All functions are pure; results are deterministic and independent of
-traversal order (witness identity is not part of the contract).
+All functions are pure and deterministic.  Because sequences are
+visited in lexicographic order, a path witness has the lexicographically
+least vertex sequence among the paths of its length, and a cycle
+witness the least one that starts at its minimum vertex.
 """
 
 from __future__ import annotations
@@ -73,33 +80,39 @@ def verify_witness(h: Hypergraph, w: BergeWitness) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Incremental slot-instance matching
+# The pair index, the slot-instance matching and the walk
 # ----------------------------------------------------------------------
 
 class _PairMatcher:
-    """Maintains a matching from pair slots to distinct edge instances."""
+    """One index over vertex pairs, and a matching from pair slots to
+    distinct edge instances.
+
+    ``pair_insts[u]`` maps each neighbour v of u, in ascending order, to
+    the ascending ids of the instances containing both u and v; the two
+    directions of a pair share one list.  A slot is such a list.
+    """
 
     __slots__ = ("pair_insts", "slots", "match", "owner")
 
     def __init__(self, h: Hypergraph):
-        pair_insts: dict[tuple[int, int], list[int]] = {}
+        pairs: dict[tuple[int, int], list[int]] = {}
         for i, e in enumerate(h.edges):
             for a in range(len(e)):
                 for b in range(a + 1, len(e)):
-                    pair_insts.setdefault((e[a], e[b]), []).append(i)
+                    pairs.setdefault((e[a], e[b]), []).append(i)
+        pair_insts: list[dict[int, list[int]]] = [{} for _ in range(h.n)]
+        for (u, v), insts in sorted(pairs.items()):
+            pair_insts[u][v] = insts
+            pair_insts[v][u] = insts
         self.pair_insts = pair_insts
-        self.slots: list[tuple[int, int]] = []
+        self.slots: list[list[int]] = []  # slot -> candidate instances
         self.match: list[int] = []  # slot -> instance
         self.owner: dict[int, int] = {}  # instance -> slot
 
-    def candidates(self, u: int, v: int) -> list[int]:
-        key = (u, v) if u < v else (v, u)
-        return self.pair_insts.get(key, [])
-
-    def push(self, u: int, v: int) -> bool:
-        """Add slot for pair {u, v}; augment; undo and refuse if impossible."""
+    def push(self, insts: list[int]) -> bool:
+        """Add a slot over ``insts``; augment; undo and refuse if impossible."""
         slot = len(self.slots)
-        self.slots.append((u, v))
+        self.slots.append(insts)
         self.match.append(-1)
         if self._augment(slot, set()):
             return True
@@ -114,8 +127,7 @@ class _PairMatcher:
             del self.owner[inst]
 
     def _augment(self, slot: int, visited: set[int]) -> bool:
-        u, v = self.slots[slot]
-        for inst in self.candidates(u, v):
+        for inst in self.slots[slot]:
             if inst in visited:
                 continue
             visited.add(inst)
@@ -130,19 +142,76 @@ class _PairMatcher:
         return tuple(self.match)
 
 
-def _adjacency(h: Hypergraph) -> list[list[int]]:
-    """adj[v] = sorted vertices sharing at least one instance with v."""
-    adj: list[set[int]] = [set() for _ in range(h.n)]
-    for e in h.edges:
-        for a in e:
-            for b in e:
-                if a != b:
-                    adj[a].add(b)
-    return [sorted(s) for s in adj]
+def _walk(
+    h: Hypergraph, most: int, close_from: int = 0
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The depth-first walk behind every query.
+
+    Sequences start at each vertex in ascending order and step to
+    neighbours in ascending order, as long as the matcher can give the
+    new pair a distinct instance.  ``most`` is the largest witness
+    length (instance count) to reach.
+
+    Path mode (``close_from`` 0) returns the first deepest sequence,
+    stopping early once it has ``most`` edges.  Cycle mode starts each
+    sequence at its minimum vertex, tries to close it back to its start
+    once it has at least ``close_from`` vertices, grows it to at most
+    ``most`` vertices, and returns the first cycle closed.  The result is
+    (vertices, instances), or None when nothing qualifies.
+    """
+    matcher = _PairMatcher(h)
+    pair_insts = matcher.pair_insts
+    used = [False] * h.n
+    seq: list[int] = []
+    found = None
+    reach = 1  # path mode: vertex count of ``found``
+
+    def extend() -> bool:
+        nonlocal found, reach
+        size = len(seq)
+        last = seq[-1]
+        if close_from:
+            if size >= close_from:
+                insts = pair_insts[last].get(seq[0])
+                if insts and matcher.push(insts):
+                    found = (tuple(seq), matcher.assignment())
+                    return True
+            if size == most:
+                return False
+        elif size > reach:
+            reach = size
+            found = (tuple(seq), matcher.assignment())
+            if size > most:
+                return True
+        for nxt, insts in pair_insts[last].items():
+            if used[nxt] or not matcher.push(insts):
+                continue
+            seq.append(nxt)
+            used[nxt] = True
+            stop = extend()
+            used[nxt] = False
+            seq.pop()
+            matcher.pop()
+            if stop:
+                return True
+        return False
+
+    for start in range(h.n):
+        if not pair_insts[start]:
+            continue
+        seq.append(start)
+        used[start] = True
+        if extend():
+            break
+        seq.pop()
+        # A cycle sequence starts at its minimum vertex, so each finished
+        # anchor stays marked used.
+        used[start] = bool(close_from)
+    return found
 
 
 # ----------------------------------------------------------------------
-# Paths
+# Public queries
 # ----------------------------------------------------------------------
 
 def contains_berge_path(
@@ -151,49 +220,14 @@ def contains_berge_path(
     """Exact decision for a Berge path of length k (k >= 1)."""
     if k < 1:
         raise ValueError(f"path length must be >= 1, got {k}")
-    witness = _find_path(h, k)
+    witness = None
+    if k <= min(len(h.edges), h.n - 1):
+        found = _walk(h, k)
+        if found is not None and len(found[0]) == k + 1:
+            witness = BergeWitness("path", *found)
     if want_witness:
         return (witness is not None), witness
     return witness is not None
-
-
-def _find_path(h: Hypergraph, k: int) -> BergeWitness | None:
-    if k > len(h.edges) or k + 1 > h.n:
-        return None
-    adj = _adjacency(h)
-    matcher = _PairMatcher(h)
-    seq: list[int] = []
-    in_seq = [False] * h.n
-    found: list[BergeWitness | None] = [None]
-
-    def extend() -> bool:
-        if len(seq) == k + 1:
-            found[0] = BergeWitness("path", tuple(seq), matcher.assignment())
-            return True
-        last = seq[-1]
-        for nxt in adj[last]:
-            if in_seq[nxt]:
-                continue
-            if not matcher.push(last, nxt):
-                continue
-            seq.append(nxt)
-            in_seq[nxt] = True
-            if extend():
-                return True
-            in_seq[nxt] = False
-            seq.pop()
-            matcher.pop()
-        return False
-
-    for start in range(h.n):
-        if not adj[start]:
-            continue
-        seq = [start]
-        in_seq[start] = True
-        if extend():
-            return found[0]
-        in_seq[start] = False
-    return None
 
 
 def longest_berge_path(h: Hypergraph) -> tuple[int, BergeWitness | None]:
@@ -202,57 +236,11 @@ def longest_berge_path(h: Hypergraph) -> tuple[int, BergeWitness | None]:
     The empty hypergraph yields (0, None).  The witness is the first one
     found in ascending vertex order at the maximal length.
     """
-    if not h.edges:
+    found = _walk(h, min(len(h.edges), h.n - 1))
+    if found is None:
         return 0, None
-    cap = min(len(h.edges), h.n - 1)
-    adj = _adjacency(h)
-    matcher = _PairMatcher(h)
-    best_len = [0]
-    best_seq: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None]
-    seq: list[int] = []
-    in_seq = [False] * h.n
+    return len(found[1]), BergeWitness("path", *found)
 
-    def extend() -> bool:
-        depth = len(seq) - 1
-        if depth > best_len[0]:
-            best_len[0] = depth
-            best_seq[0] = (tuple(seq), matcher.assignment())
-            if depth == cap:
-                return True
-        last = seq[-1]
-        for nxt in adj[last]:
-            if in_seq[nxt]:
-                continue
-            if not matcher.push(last, nxt):
-                continue
-            seq.append(nxt)
-            in_seq[nxt] = True
-            stop = extend()
-            in_seq[nxt] = False
-            seq.pop()
-            matcher.pop()
-            if stop:
-                return True
-        return False
-
-    for start in range(h.n):
-        if not adj[start]:
-            continue
-        seq = [start]
-        in_seq[start] = True
-        stop = extend()
-        in_seq[start] = False
-        if stop:
-            break
-    if best_seq[0] is None:
-        return 0, None
-    vertices, insts = best_seq[0]
-    return best_len[0], BergeWitness("path", vertices, insts)
-
-
-# ----------------------------------------------------------------------
-# Cycles
-# ----------------------------------------------------------------------
 
 def contains_berge_cycle(
     h: Hypergraph, k: int, mode: str = "exact", want_witness: bool = False
@@ -266,59 +254,12 @@ def contains_berge_cycle(
         raise ValueError(f"cycle length must be >= 2, got {k}")
     if mode not in ("exact", "at_least"):
         raise ValueError(f"unknown cycle mode {mode!r}")
-    witness = _find_cycle(h, k, mode)
+    witness = None
+    cap = min(len(h.edges), h.n)
+    if k <= cap:
+        found = _walk(h, k if mode == "exact" else cap, close_from=k)
+        if found is not None:
+            witness = BergeWitness("cycle", *found)
     if want_witness:
         return (witness is not None), witness
     return witness is not None
-
-
-def _find_cycle(h: Hypergraph, k: int, mode: str) -> BergeWitness | None:
-    cap = min(len(h.edges), h.n)
-    if k > cap:
-        return None
-    adj = _adjacency(h)
-    matcher = _PairMatcher(h)
-    found: list[BergeWitness | None] = [None]
-    seq: list[int] = []
-    in_seq = [False] * h.n
-
-    def close() -> bool:
-        # Rotation symmetry is killed by anchoring seq[0] as the minimum.
-        if not matcher.push(seq[-1], seq[0]):
-            return False
-        found[0] = BergeWitness("cycle", tuple(seq), matcher.assignment())
-        return True
-
-    def extend() -> bool:
-        length = len(seq)
-        ready = length == k if mode == "exact" else length >= k
-        if ready and close():
-            return True
-        if mode == "exact" and length == k:
-            return False
-        if length == cap:
-            return False
-        last = seq[-1]
-        for nxt in adj[last]:
-            if in_seq[nxt] or nxt <= seq[0]:
-                continue
-            if not matcher.push(last, nxt):
-                continue
-            seq.append(nxt)
-            in_seq[nxt] = True
-            if extend():
-                return True
-            in_seq[nxt] = False
-            seq.pop()
-            matcher.pop()
-        return False
-
-    for anchor in range(h.n):
-        if not adj[anchor]:
-            continue
-        seq = [anchor]
-        in_seq[anchor] = True
-        if extend():
-            return found[0]
-        in_seq[anchor] = False
-    return None

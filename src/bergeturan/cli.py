@@ -26,6 +26,7 @@ import sys
 from .berge import contains_berge_cycle, contains_berge_path, longest_berge_path
 from .constructions import (
     FamilyParamError,
+    _forbidden_length,
     family_names,
     make_family,
     verify_family_output,
@@ -183,16 +184,9 @@ def _cmd_conjecture(args) -> int:
 
 def _best_construction(n: int, r: int, k: int) -> int | None:
     """Largest verified-free generator output at (n, r, k), if any."""
-    from .constructions import family_forbidden_k
-
     best = None
     for name in family_names():
-        if name.startswith("multi-"):
-            continue
-        info_k = family_forbidden_k(name, k)
-        if name == "sunflower":
-            info_k = r + 1
-        if info_k != k:
+        if name.startswith("multi-") or _forbidden_length(name, r, k) != k:
             continue
         try:
             h = make_family(name, n, r, k)

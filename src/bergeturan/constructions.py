@@ -333,8 +333,7 @@ class FamilyInfo:
     """How to build a family member and what its contract promises."""
 
     name: str
-    forbidden_k: int | None  # k such that output should be BP_k-free (None: use arg)
-    needs_k: bool
+    forbidden: object  # (r, k) -> the path length members avoid; None: k is required
     builder: object
     expected_count: object  # (n, r, k) -> int
 
@@ -342,62 +341,62 @@ class FamilyInfo:
 _FAMILIES: dict[str, FamilyInfo] = {}
 
 
-def _register(name: str, forbidden_k, needs_k: bool, builder, expected_count) -> None:
-    _FAMILIES[name] = FamilyInfo(name, forbidden_k, needs_k, builder, expected_count)
+def _register(name: str, forbidden, builder, expected_count) -> None:
+    _FAMILIES[name] = FamilyInfo(name, forbidden, builder, expected_count)
 
 
 _register(
-    "star", 3, False,
+    "star", lambda r, k: 3,
     lambda n, r, k=None: bp3_free_family(n, r, "star"),
     lambda n, r, k: (n - 1) // (r - 1),
 )
 _register(
-    "double-edge", 3, False,
+    "double-edge", lambda r, k: 3,
     lambda n, r, k=None: bp3_free_family(n, r, "double_edge"),
     lambda n, r, k: 2,
 )
 _register(
-    "bp4-compact", 4, False,
+    "bp4-compact", lambda r, k: 4,
     lambda n, r, k=None: bp4_free_family(n, r, "compact"),
     lambda n, r, k: 4,
 )
 _register(
-    "bp4-pair-hub", 4, False,
+    "bp4-pair-hub", lambda r, k: 4,
     lambda n, r, k=None: bp4_free_family(n, r, "pair_hub"),
     lambda n, r, k: (n - 4) // (r - 2) + 2,
 )
 _register(
-    "bp4-point-hub", 4, False,
+    "bp4-point-hub", lambda r, k: 4,
     lambda n, r, k=None: bp4_free_family(n, r, "point_hub"),
     lambda n, r, k: (n - 5) // (r - 1) + 3,
 )
 _register(
-    "hub", None, True,
+    "hub", lambda r, k: k,
     lambda n, r, k: hub_family(n, r, k),
     lambda n, r, k: ((k - 1) // 2) * ((n - 1) // r) + (1 if k % 2 == 0 else 0),
 )
 _register(
-    "cycle-hub", None, True,
+    "cycle-hub", lambda r, k: k,
     lambda n, r, k: cycle_satellite_family(n, r, k),
     lambda n, r, k: (k - 1) + (n - (k - 1) * (r - 1)) // (r - (k - 1) // 2),
 )
 _register(
-    "sunflower", None, False,
+    "sunflower", lambda r, k: r + 1,
     lambda n, r, k=None: sunflower_family(n, r),
     lambda n, r, k: n - r + 1,
 )
 _register(
-    "clique-pendants", None, True,
+    "clique-pendants", lambda r, k: k,
     lambda n, r, k: clique_pendant_family(n, r, k),
     lambda n, r, k: n - (k - 2) + comb(k - 2, r),
 )
 _register(
-    "multi-star", None, True,
+    "multi-star", lambda r, k: k,
     lambda n, r, k: multi_family(n, r, k, "star"),
     lambda n, r, k: ((n - 1) // (r - 1)) * ((k - 1) // 2) + (1 if k % 2 == 0 else 0),
 )
 _register(
-    "multi-cycle", None, True,
+    "multi-cycle", lambda r, k: k,
     lambda n, r, k: multi_family(n, r, k, "cycle"),
     lambda n, r, k: (k - 1) + (n - r) // (r - (k - 1) // 2),
 )
@@ -407,24 +406,21 @@ def family_names() -> list[str]:
     return sorted(_FAMILIES)
 
 
-def make_family(name: str, n: int, r: int, k: int | None = None) -> Hypergraph:
-    """Build a registered family member by CLI name."""
+def _forbidden_length(name: str, r: int, k: int | None) -> int:
+    """The Berge path length that the family's members avoid at (r, k)."""
     info = _FAMILIES.get(name)
     if info is None:
         raise FamilyParamError(f"unknown family {name!r}; known: {family_names()}")
-    if info.needs_k and k is None:
+    length = info.forbidden(r, k)
+    if length is None:
         raise FamilyParamError(f"family {name!r} requires a path length k")
-    return info.builder(n, r, k)
+    return length
 
 
-def family_forbidden_k(name: str, k: int | None) -> int:
-    info = _FAMILIES[name]
-    if info.forbidden_k is not None:
-        return info.forbidden_k
-    if name == "sunflower":
-        return 0  # resolved by caller via r
-    assert k is not None
-    return k
+def make_family(name: str, n: int, r: int, k: int | None = None) -> Hypergraph:
+    """Build a registered family member by CLI name."""
+    _forbidden_length(name, r, k)  # refuses an unknown name or a missing k
+    return _FAMILIES[name].builder(n, r, k)
 
 
 @dataclass
@@ -457,15 +453,8 @@ def verify_family_output(
 ) -> FamilyCheck:
     """Check uniformity, vertex count, connectivity, the closed-form edge
     count, and (optionally, via the exact detector) BP_k-freeness."""
-    info = _FAMILIES[name]
-    if info.forbidden_k is not None:
-        kk = info.forbidden_k
-    elif name == "sunflower":
-        kk = r + 1
-    else:
-        assert k is not None
-        kk = k
-    expected = info.expected_count(n, r, kk)
+    kk = _forbidden_length(name, r, k)
+    expected = _FAMILIES[name].expected_count(n, r, kk)
     failures = []
     uniform = all(len(e) == r for e in h.edges)
     if not uniform:

@@ -252,29 +252,6 @@ def induced_subhypergraph(
     return Hypergraph.build(len(keep), h.r, edges), relabel
 
 
-def connected_components(h: Hypergraph) -> list[list[int]]:
-    """Vertex sets of the connected components (isolated vertices are singletons)."""
-    inc = h.vertex_instances()
-    seen = [False] * h.n
-    comps = []
-    for start in range(h.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for i in inc[v]:
-                for u in h.edges[i]:
-                    if not seen[u]:
-                        seen[u] = True
-                        comp.append(u)
-                        stack.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
 # ----------------------------------------------------------------------
 # Exact canonical form (multi-hypergraph isomorphism)
 # ----------------------------------------------------------------------

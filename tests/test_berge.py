@@ -62,6 +62,35 @@ def brute_longest_path(h):
     return t
 
 
+def assignable(h, verts, closed):
+    """True when the consecutive pairs of ``verts`` (read cyclically if
+    ``closed``) lie in distinct instances."""
+    k = len(verts) if closed else len(verts) - 1
+    pairs = [(verts[i], verts[(i + 1) % len(verts)]) for i in range(k)]
+    return any(
+        all(u in h.edges[i] and v in h.edges[i] for (u, v), i in zip(pairs, insts))
+        for insts in itertools.permutations(range(len(h.edges)), k)
+    )
+
+
+def least_path(h, k):
+    """The lexicographically least vertex sequence of a Berge path of length k."""
+    return next(
+        (v for v in itertools.permutations(range(h.n), k + 1) if assignable(h, v, False)),
+        None,
+    )
+
+
+def least_cycle(h, lengths):
+    """The least vertex sequence, in tuple order and starting at its minimum
+    vertex, of a Berge cycle with a length in ``lengths``."""
+    seqs = sorted(
+        v for j in lengths for v in itertools.permutations(range(h.n), j)
+        if v[0] == min(v)
+    )
+    return next((v for v in seqs if assignable(h, v, True)), None)
+
+
 def graph_has_path(n, edges, k):
     """Plain DFS path detector for 2-uniform hypergraphs (simple graphs)."""
     adj = {v: set() for v in range(n)}
@@ -202,6 +231,29 @@ def test_edge_deletion_monotonicity():
                 assert contains_berge_path(h, k)
         if contains_berge_cycle(sub, 2, "at_least"):
             assert contains_berge_cycle(h, 2, "at_least")
+
+
+def test_witnesses_are_the_least_qualifying_sequences():
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(40):
+        h = random_hypergraph(rng, 6, 3, 5, multi=True)
+        for k in (1, 2, 3, 4):
+            _, w = contains_berge_path(h, k, want_witness=True)
+            assert (w and w.vertices) == least_path(h, k), (h, k)
+        t, w = longest_berge_path(h)
+        assert (w and w.vertices) == (least_path(h, t) if t else None), h
+        cap = min(len(h.edges), h.n)
+        for k in (2, 3, 4):
+            for mode, lengths in (("exact", [k]), ("at_least", range(k, cap + 1))):
+                _, w = contains_berge_cycle(h, k, mode, want_witness=True)
+                assert (w and w.vertices) == least_cycle(h, lengths), (h, k, mode)
+                if w is not None:
+                    checked += 1
+                    assert verify_witness(h, w)
+                    assert len(w.vertices) == k or (
+                        mode == "at_least" and len(w.vertices) > k)
+    assert checked > 20
 
 
 # -- cycles ------------------------------------------------------------

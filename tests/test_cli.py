@@ -144,6 +144,15 @@ def test_table_csv_shape_and_values(capsys):
     assert rows[7][3] == "3" and rows[7][6] == "3"
 
 
+def test_table_best_construction_at_k_equal_r_plus_one(capsys):
+    # The sunflower avoids length r + 1, so it counts at k = 4 for r = 3.
+    code, out, _ = run(capsys, "table", "--k", "4", "--r", "3",
+                       "--n-range", "5..7")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[6] for row in rows] == ["3", "4", "5"]
+
+
 def test_table_byte_stable(capsys):
     _, out1, _ = run(capsys, "table", "--k", "3", "--r", "3", "--n-range", "4..6")
     _, out2, _ = run(capsys, "table", "--k", "3", "--r", "3", "--n-range", "4..6")

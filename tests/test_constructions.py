@@ -140,6 +140,12 @@ def test_hub_rejects_r_divides_n():
         hub_family(16, 5, 4)  # k < 5
 
 
+def test_verify_without_required_k_raises_param_error():
+    h = hub_family(16, 5, 5)
+    with pytest.raises(FamilyParamError):
+        verify_family_output("hub", h, 16, 5)
+
+
 # -- cycle + satellites --------------------------------------------------
 
 def test_cycle_satellites_always_carry_the_cycle():
