@@ -7,9 +7,25 @@ repeated edge instances, never by a counter, so that Berge witnesses can
 reference distinct instances of an identical vertex set.
 
 Canonical forms are exact: two hypergraphs receive the same byte string
-iff they are isomorphic as multi-hypergraphs.  The canonicalizer is a
-partition-refinement / individualization search intended for desk scale
-(n <= 12 by default).
+iff they are isomorphic as multi-hypergraphs.  The canonicalizer is an
+individualization-refinement search in the style of nauty (McKay and
+Piperno, "Practical graph isomorphism II", 2014), intended for desk scale
+(n <= 12 by default).  Each node refines an ordered vertex partition by
+colour refinement and individualizes, in turn, each vertex of the first
+cell that can still split; every leaf is a vertex order, and the
+canonical form is the least relabeled edge list over all leaves, taken
+at the first leaf in depth-first order that attains it.  Two leaves with
+equal relabeled edges give an automorphism: the map sending each vertex
+of one order to the vertex at the same position in the other.  The
+search keeps these as generators.  At a node with individualized
+vertices ``path`` it skips a candidate in the orbit of an explored
+sibling under the generators that fix ``path`` pointwise, and after an
+automorphism is found it abandons the rest of the subtree that the
+automorphism maps onto an explored one.  Either way the skipped subtree
+is an automorphic image of an explored one, so every leaf it holds has
+an earlier explored counterpart with equal relabeled edges; the
+first least leaf is never skipped, and strings and relabelings are
+those of the full search.
 """
 
 from __future__ import annotations
@@ -260,40 +276,50 @@ class CanonicalSizeError(HypergraphError):
     """Raised when a hypergraph exceeds the exact-canonicalization limit."""
 
 
-def _refine(edges: tuple[tuple[int, ...], ...], colors: dict[int, int]) -> dict[int, int]:
-    """Iterated color refinement over the vertex-edge incidence structure."""
-    inc: dict[int, list[int]] = {v: [] for v in colors}
-    for i, e in enumerate(edges):
-        for v in e:
-            inc[v].append(i)
+def _refine(
+    edges: tuple[tuple[int, ...], ...],
+    inc: list[list[int]],
+    twin: list[int],
+    weight: list[int],
+    cells: list[list[int]],
+) -> list[list[int]]:
+    """Iterated colour refinement of an ordered partition of the support.
+
+    A vertex's colour is the index of its cell.  Each round splits every
+    cell by the sorted list of its vertices' edge colours, in ascending
+    order, where an edge's colour is the sorted tuple of its vertices'
+    colours, all taken at the start of the round; rounds repeat until no
+    cell splits.  An edge's colour tuple is compared through the sum of
+    ``weight[colour]`` over its vertices, with ``weight[c] = -b**(n - c)``
+    and base ``b > r``: every colour count in an edge is at most r, so
+    the sums order equal-length tuples exactly as the tuples do.
+    """
     while True:
-        edge_sig = [tuple(sorted(colors[v] for v in e)) for e in edges]
-        sigs = {
-            v: (colors[v], tuple(sorted(edge_sig[i] for i in inc[v])))
-            for v in colors
-        }
-        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        new_colors = {v: ranking[sigs[v]] for v in colors}
-        if len(set(new_colors.values())) == len(set(colors.values())):
-            return new_colors
-        colors = new_colors
-
-
-def _color_classes(colors: dict[int, int]) -> list[list[int]]:
-    by_color: dict[int, list[int]] = {}
-    for v, c in colors.items():
-        by_color.setdefault(c, []).append(v)
-    return [sorted(by_color[c]) for c in sorted(by_color)]
-
-
-def _interchangeable(cls: list[int], edges: tuple[tuple[int, ...], ...]) -> bool:
-    """A class whose vertices are all-or-none in every edge can be ordered freely."""
-    cset = set(cls)
-    for e in edges:
-        hits = cset.intersection(e)
-        if hits and len(hits) != len(cset):
-            return False
-    return True
+        edge_key = [0] * len(edges)
+        for cell, w in zip(cells, weight):
+            for v in cell:
+                for i in inc[v]:
+                    edge_key[i] += w
+        out: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple(sorted([edge_key[i] for i in inc[v]]))
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+            else:
+                out.extend(groups[sig] for sig in sorted(groups))
+        # Singleton cells and cells of twins (equal incidence lists) can
+        # no longer split, so a partition of only those is stable.
+        if len(out) == len(cells) or all(
+            len(cell) == 1 or len({twin[v] for v in cell}) == 1 for cell in out
+        ):
+            return out
+        cells = out
 
 
 def canonical_form(
@@ -312,9 +338,10 @@ def canonical_form(
             f"exact canonicalization limited to n <= {n_limit}, got n = {h.n}"
         )
 
-    support = h.support()
-    isolated = [v for v in range(h.n) if v not in set(support)]
     edges = h.edges
+    inc = h.vertex_instances()
+    support = [v for v in range(h.n) if inc[v]]
+    isolated = [v for v in range(h.n) if not inc[v]]
 
     if not support:
         pi = tuple(range(h.n))
@@ -322,51 +349,93 @@ def canonical_form(
         h._canon = (code, pi)
         return h._canon
 
-    best: list[tuple[tuple[tuple[int, ...], ...], dict[int, int]] | None] = [None]
+    # Vertices with equal incidence lists lie in the same edges, so a cell
+    # of them can be ordered freely and is never individualized.
+    twin_ids: dict[tuple[int, ...], int] = {}
+    twin = [twin_ids.setdefault(tuple(lst), len(twin_ids)) for lst in inc]
+    weight = [-(h.r + 1) ** (h.n - c) for c in range(h.n)]
+    best: list[tuple[tuple[tuple[int, ...], ...], list[int]] | None] = [None]
+    # Relabeled edges of every leaf seen -> that leaf's vertex order.
+    seen: dict[tuple[tuple[int, ...], ...], tuple[list[int], list[int]]] = {}
+    # Automorphisms found at equal leaves, as vertex maps.
+    gens: list[list[int]] = []
     leaves = [0]
 
-    def descend(colors: dict[int, int]) -> None:
-        colors = _refine(edges, colors)
-        classes = _color_classes(colors)
-        target = None
-        for cls in classes:
-            if len(cls) > 1:
-                if _interchangeable(cls, edges):
-                    continue
-                target = cls
+    def descend(cells: list[list[int]], path: list[int]) -> int | None:
+        cells = _refine(edges, inc, twin, weight, cells)
+        for at, target in enumerate(cells):
+            if len(target) > 1 and any(twin[v] != twin[target[0]] for v in target):
                 break
-        if target is None:
+        else:
             leaves[0] += 1
             if leaves[0] > _CANONICAL_LEAF_BUDGET:
                 raise CanonicalSizeError("canonical search budget exceeded")
-            # Flatten: classes ordered by color, input order inside
-            # interchangeable classes.
-            label = {}
-            pos = 0
-            for cls in classes:
-                for v in cls:
-                    label[v] = pos
-                    pos += 1
+            # Flatten: cells in order, input order inside interchangeable cells.
+            order = [v for cell in cells for v in cell]
+            label = [0] * h.n
+            for pos, v in enumerate(order):
+                label[v] = pos
             relabeled = tuple(
-                sorted(tuple(sorted(label[v] for v in e)) for e in edges)
+                sorted([tuple(sorted([label[v] for v in e])) for e in edges])
             )
             if best[0] is None or relabeled < best[0][0]:
-                best[0] = (relabeled, label)
-            return
-        # Individualize each candidate of the first genuinely split class.
-        for v in target:
-            child = dict(colors)
-            for u in child:
-                child[u] = child[u] * 2 + 1
-            child[v] -= 1
-            descend(child)
+                best[0] = (relabeled, order)
+            if relabeled not in seen:
+                seen[relabeled] = (order, path)
+                return None
+            first, first_path = seen[relabeled]
+            # Equal relabeled edges: first^-1 . label maps h onto itself.
+            gamma = list(range(h.n))
+            for v in support:
+                gamma[v] = first[label[v]]
+            gens.append(gamma)
+            # gamma fixes the common prefix of the two paths and maps this
+            # path's next vertex onto the first's, so the rest of this
+            # subtree is an image of explored leaves: return to depth j.
+            j = 0
+            while path[j] == first_path[j]:
+                j += 1
+            return j
+        # Individualize each candidate of the first genuinely split cell,
+        # skipping those in the orbit of an explored one under the
+        # automorphisms found so far that fix ``path`` pointwise.
+        root = {v: v for v in target}
 
-    descend({v: 0 for v in support})
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        used = 0
+        explored: list[int] = []
+        for v in target:
+            for gamma in gens[used:]:
+                if all(gamma[u] == u for u in path):
+                    for u in target:
+                        a, b = find(u), find(gamma[u])
+                        if a != b:
+                            root[a] = b
+            used = len(gens)
+            if any(find(u) == find(v) for u in explored):
+                continue
+            rest = [u for u in target if u != v]
+            jump = descend(cells[:at] + [[v], rest] + cells[at + 1:], path + [v])
+            if jump is not None and jump < len(path):
+                return jump
+            explored.append(v)
+        return None
+
+    # The first refinement round splits the support by degree, lowest first.
+    by_degree: dict[int, list[int]] = {}
+    for v in support:
+        by_degree.setdefault(len(inc[v]), []).append(v)
+    descend([by_degree[d] for d in sorted(by_degree)], [])
     assert best[0] is not None
-    relabeled_edges, label = best[0]
+    relabeled_edges, order = best[0]
 
     pi_list = [0] * h.n
-    for v, p in label.items():
+    for p, v in enumerate(order):
         pi_list[v] = p
     for offset, v in enumerate(isolated):
         pi_list[v] = len(support) + offset

@@ -105,10 +105,16 @@ def _expand_chunk(
     r: int,
     spec: FamilySpec,
     candidates: list[tuple[int, ...]],
+    level: int,
+    deadline: float | None,
 ) -> tuple[int, dict[bytes, Hypergraph]]:
     tested = 0
     out: dict[bytes, Hypergraph] = {}
     for parent in parents:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchLimitError(
+                f"time budget exceeded while expanding level {level}"
+            )
         counts: dict[tuple[int, ...], int] = {}
         for e in parent.edges:
             counts[e] = counts.get(e, 0) + 1
@@ -150,8 +156,9 @@ def _run_levels(
     """Drive the level BFS; calls on_level(level, _LevelResult).
 
     ``start`` = (level, representatives, tested_so_far) resumes a run
-    whose earlier levels were already reported.  Returns
-    (total_tested, deepest_level_reached).
+    whose earlier levels were already reported.  The time budget is
+    checked before each parent is expanded, so it holds inside a level.
+    Returns (total_tested, deepest_level_reached).
     """
     if n < 1:
         raise SearchLimitError("need n >= 1")
@@ -168,21 +175,21 @@ def _run_levels(
     else:
         level, current, total_tested = start
     while current:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchLimitError(
-                f"time budget exceeded after completing level {level}"
-            )
         if workers > 1 and len(current) > 1:
             size = (len(current) + workers - 1) // workers
             chunks = [current[i:i + size] for i in range(0, len(current), size)]
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(
                     pool.map(
-                        lambda ch: _expand_chunk(ch, n, r, spec, candidates), chunks
+                        lambda ch: _expand_chunk(
+                            ch, n, r, spec, candidates, level, deadline),
+                        chunks,
                     )
                 )
         else:
-            results = [_expand_chunk(current, n, r, spec, candidates)]
+            results = [
+                _expand_chunk(current, n, r, spec, candidates, level, deadline)
+            ]
         merged: dict[bytes, Hypergraph] = {}
         for tested, out in results:
             total_tested += tested

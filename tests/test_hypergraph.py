@@ -244,6 +244,256 @@ def test_canonical_agrees_with_networkx_oracle():
     assert pairs_checked > 60 and agree_positive > 20
 
 
+# -- reference canonicalizer --------------------------------------------
+#
+# The canonicalizer before automorphism pruning: it explores every
+# individualization branch and refines with sorted colour tuples.  Test
+# only; the library keeps one path, which must agree with this one byte
+# for byte on the canonical string and on the relabeling.
+
+def _ref_refine(edges, colors):
+    inc = {v: [] for v in colors}
+    for i, e in enumerate(edges):
+        for v in e:
+            inc[v].append(i)
+    while True:
+        edge_sig = [tuple(sorted(colors[v] for v in e)) for e in edges]
+        sigs = {
+            v: (colors[v], tuple(sorted(edge_sig[i] for i in inc[v])))
+            for v in colors
+        }
+        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
+        new_colors = {v: ranking[sigs[v]] for v in colors}
+        if len(set(new_colors.values())) == len(set(colors.values())):
+            return new_colors
+        colors = new_colors
+
+
+def _ref_color_classes(colors):
+    by_color = {}
+    for v, c in colors.items():
+        by_color.setdefault(c, []).append(v)
+    return [sorted(by_color[c]) for c in sorted(by_color)]
+
+
+def _ref_interchangeable(cls, edges):
+    cset = set(cls)
+    for e in edges:
+        hits = cset.intersection(e)
+        if hits and len(hits) != len(cset):
+            return False
+    return True
+
+
+def reference_canonical_form(h):
+    support = h.support()
+    isolated = [v for v in range(h.n) if v not in set(support)]
+    edges = h.edges
+    head = f"{h.n} {h.r}"
+    if not support:
+        return head.encode("ascii"), tuple(range(h.n))
+    best = [None]
+
+    def descend(colors):
+        colors = _ref_refine(edges, colors)
+        classes = _ref_color_classes(colors)
+        target = None
+        for cls in classes:
+            if len(cls) > 1:
+                if _ref_interchangeable(cls, edges):
+                    continue
+                target = cls
+                break
+        if target is None:
+            label = {}
+            pos = 0
+            for cls in classes:
+                for v in cls:
+                    label[v] = pos
+                    pos += 1
+            relabeled = tuple(
+                sorted(tuple(sorted(label[v] for v in e)) for e in edges)
+            )
+            if best[0] is None or relabeled < best[0][0]:
+                best[0] = (relabeled, label)
+            return
+        for v in target:
+            child = dict(colors)
+            for u in child:
+                child[u] = child[u] * 2 + 1
+            child[v] -= 1
+            descend(child)
+
+    descend({v: 0 for v in support})
+    relabeled_edges, label = best[0]
+    pi = [0] * h.n
+    for v, p in label.items():
+        pi[v] = p
+    for offset, v in enumerate(isolated):
+        pi[v] = len(support) + offset
+    code = ";".join([head] + [",".join(map(str, e)) for e in relabeled_edges])
+    return code.encode("ascii"), tuple(pi)
+
+
+def _shuffled(rng, h):
+    perm = list(range(h.n))
+    rng.shuffle(perm)
+    return relabel(h, tuple(perm))
+
+
+def _disjoint_union(*parts):
+    edges, n = [], 0
+    for h in parts:
+        edges += [[v + n for v in e] for e in h.edges]
+        n += h.n
+    return build(n, parts[0].r, edges)
+
+
+def _cycle(n):
+    return build(n, 2, [[i, (i + 1) % n] for i in range(n)])
+
+
+def _petersen():
+    outer = [[i, (i + 1) % 5] for i in range(5)]
+    inner = [[5 + i, 5 + (i + 2) % 5] for i in range(5)]
+    spokes = [[i, i + 5] for i in range(5)]
+    return build(10, 2, outer + inner + spokes)
+
+
+def _prism10():
+    """The pentagonal prism: 3-regular on 10 vertices, like Petersen."""
+    outer = [[i, (i + 1) % 5] for i in range(5)]
+    inner = [[5 + i, 5 + (i + 1) % 5] for i in range(5)]
+    spokes = [[i, i + 5] for i in range(5)]
+    return build(10, 2, outer + inner + spokes)
+
+
+def _symmetric_corpus():
+    import itertools
+
+    from bergeturan.constructions import sunflower_family
+
+    corpus = [build(m + 1, 2, [[0, i] for i in range(1, m + 1)]) for m in range(1, 8)]
+    corpus += [sunflower_family(n, r) for r in (3, 4) for n in range(r + 1, 9)]
+    corpus += [_cycle(n) for n in range(3, 9)]
+    corpus += [build(6, 2, itertools.combinations(range(6), 2)), _petersen()]
+    corpus += [
+        build(4, 3, [[0, 1, 2], [0, 1, 2], [1, 2, 3], [1, 2, 3]]),
+        build(5, 2, [[0, 1], [0, 1], [1, 2], [1, 2], [2, 3], [3, 4], [3, 4]]),
+        build(7, 3, STAR73 + STAR73),
+        build(4, 2, [[0, 1]] * 3 + [[2, 3]] * 3),
+    ]
+    corpus += [
+        _disjoint_union(*[build(2, 2, [[0, 1]])] * 4),
+        _disjoint_union(_cycle(3), _cycle(3)),
+        _disjoint_union(_cycle(4), _cycle(4)),
+        _disjoint_union(*[build(3, 3, [[0, 1, 2]])] * 3),
+        _disjoint_union(*[build(4, 3, [[0, 1, 2], [1, 2, 3]])] * 2),
+        _disjoint_union(*[build(4, 2, itertools.combinations(range(4), 2))] * 2),
+    ]
+    # Unequal parts that refinement cannot tell apart: one cell, two
+    # orbits, at the root and, behind a path on three vertices, one level
+    # down.
+    path3 = build(3, 2, [[0, 1], [1, 2]])
+    corpus += [
+        _disjoint_union(_cycle(4), _cycle(3)),
+        _disjoint_union(_cycle(5), _cycle(3)),
+        _disjoint_union(path3, _cycle(4), _cycle(3)),
+        _disjoint_union(path3, _cycle(3), _cycle(4)),
+    ]
+    return corpus
+
+
+def _random_edges(rng, n, r, most):
+    import itertools
+
+    pool = list(itertools.combinations(range(n), r))
+    edges = [rng.choice(pool) for _ in range(rng.randrange(0, most + 1))]
+    if edges and rng.random() < 0.3:
+        edges += rng.sample(edges, rng.randrange(1, len(edges) + 1))
+    return edges
+
+
+def _random_multi_corpus():
+    """Random multi-hypergraphs, and disjoint unions of two random parts
+    (equal or not), whose colour cells often hold several orbits."""
+    rng = random.Random(2024)
+    corpus = []
+    for _ in range(1000):
+        r = rng.randrange(2, 5)
+        n = rng.randrange(r, 9)
+        corpus.append(build(n, r, _random_edges(rng, n, r, 8)))
+    for _ in range(500):
+        r = rng.randrange(2, 4)
+        m = rng.randrange(r, 5)
+        first = build(m, r, _random_edges(rng, m, r, 4))
+        if rng.random() < 0.5:
+            second = first
+        else:
+            k = rng.randrange(r, 5)
+            second = build(k, r, _random_edges(rng, k, r, 4))
+        corpus.append(_shuffled(rng, _disjoint_union(first, second)))
+    return corpus
+
+
+def _fresh(h):
+    """An uncached copy, so canonical_form really runs."""
+    return Hypergraph(h.n, h.r, h.edges)
+
+
+def test_canonical_form_matches_reference_on_random_multi_hypergraphs():
+    from bergeturan.hypergraph import canonical_form
+
+    corpus = _random_multi_corpus()
+    assert any(h.max_multiplicity() > 1 for h in corpus)
+    assert any(len(h.support()) < h.n for h in corpus)
+    for h in corpus:
+        assert canonical_form(_fresh(h)) == reference_canonical_form(h), h
+
+
+def test_canonical_form_matches_reference_on_symmetric_inputs():
+    from bergeturan.hypergraph import canonical_form
+
+    rng = random.Random(41)
+    for h in _symmetric_corpus():
+        for g in [h] + [_shuffled(rng, h) for _ in range(3)]:
+            assert canonical_form(_fresh(g)) == reference_canonical_form(g), g
+
+
+@pytest.mark.parametrize("name", ["star K_{1,11}", "sunflower(12, 3)"])
+def test_canonical_key_of_large_symmetric_inputs(name, monkeypatch):
+    from bergeturan import hypergraph as hg
+    from bergeturan.constructions import sunflower_family
+
+    h = {
+        "star K_{1,11}": build(12, 2, [[0, i] for i in range(1, 12)]),
+        "sunflower(12, 3)": sunflower_family(12, 3),
+    }[name]
+    # Without pruning these take 11! and 10! leaves; with it, a handful.
+    monkeypatch.setattr(hg, "_CANONICAL_LEAF_BUDGET", 1000)
+    key = canonical_key(_fresh(h))
+    rng = random.Random(11)
+    for _ in range(20):
+        assert canonical_key(_shuffled(rng, h)) == key
+
+
+def test_networkx_oracle_on_pairs_refinement_cannot_split():
+    """Regular pairs: colour refinement leaves one cell, so only the
+    individualization search (and its pruning) can tell them apart."""
+    rng = random.Random(23)
+    pairs = [
+        (_cycle(6), _disjoint_union(_cycle(3), _cycle(3))),
+        (_petersen(), _prism10()),
+    ]
+    for a, b in pairs:
+        assert not _nx_isomorphic(a, b)
+        assert canonical_key(_fresh(a)) != canonical_key(_fresh(b))
+        for h in (a, b):
+            g = _shuffled(rng, h)
+            assert _nx_isomorphic(h, g)
+            assert canonical_key(_fresh(g)) == canonical_key(_fresh(h))
+
+
 # -- serialization ----------------------------------------------------
 
 def test_text_round_trip():

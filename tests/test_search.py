@@ -233,6 +233,32 @@ def test_time_budget(tmp_path):
         exact_ex_conn(9, 3, FamilySpec("bp", 4), time_budget=0.0)
 
 
+def test_time_budget_holds_inside_a_level(monkeypatch, tmp_path):
+    """A clock that advances one second per reading runs out after the
+    first of level 2's parents: the search stops there, before level 3
+    is reported, and says which level it was expanding."""
+    import itertools
+    import json
+    import time
+    import types
+
+    import bergeturan.search as search
+
+    readings = itertools.count()
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(
+        monotonic=lambda: float(next(readings)),
+        perf_counter=time.perf_counter,
+    ))
+    path = tmp_path / "ck.json"
+    # Readings: 0 sets the deadline; 1 (root), 2 (level 1), 3 (the first
+    # level-2 parent) are within it; 4 (the second) is not.
+    with pytest.raises(SearchLimitError, match="while expanding level 2"):
+        exact_ex_conn(7, 3, FamilySpec("bp", 3), time_budget=3.5,
+                      checkpoint_path=str(path))
+    ck = json.loads(path.read_text())
+    assert ck["level"] == 2 and len(ck["reps"]) > 1
+
+
 def test_checkpoint_resume_matches_fresh_run(tmp_path):
     spec = FamilySpec("bp", 3)
     fresh = exact_ex_conn(7, 3, spec).stable_json()
