@@ -19,6 +19,14 @@ with a complete matching is precisely a Berge witness.  Paths and
 cycles differ only in where the walk stops and whether a sequence
 closes back to its start.
 
+``new_edge_detector`` serves a search that grows a hypergraph h one
+instance at a time.  Its precondition is that h is free of the
+configuration sought.  Then h plus one more instance of an edge e
+contains one exactly when some witness uses the added instance, so the
+same walk is anchored there: it starts at a pair of e whose slot holds
+only that instance and runs over the index of h, which is built once
+for all candidate edges.
+
 All functions are pure and deterministic.  Because sequences are
 visited in lexicographic order, a path witness has the lexicographically
 least vertex sequence among the paths of its length, and a cycle
@@ -27,7 +35,9 @@ witness the least one that starts at its minimum vertex.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .hypergraph import Hypergraph
 
@@ -83,28 +93,29 @@ def verify_witness(h: Hypergraph, w: BergeWitness) -> bool:
 # The pair index, the slot-instance matching and the walk
 # ----------------------------------------------------------------------
 
+def _pair_index(h: Hypergraph) -> list[dict[int, list[int]]]:
+    """``index[u]`` maps each neighbour v of u, in ascending order, to the
+    ascending ids of the instances containing both u and v; the two
+    directions of a pair share one list."""
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for i, e in enumerate(h.edges):
+        for a in range(len(e)):
+            for b in range(a + 1, len(e)):
+                pairs.setdefault((e[a], e[b]), []).append(i)
+    index: list[dict[int, list[int]]] = [{} for _ in range(h.n)]
+    for (u, v), insts in sorted(pairs.items()):
+        index[u][v] = insts
+        index[v][u] = insts
+    return index
+
+
 class _PairMatcher:
-    """One index over vertex pairs, and a matching from pair slots to
-    distinct edge instances.
+    """A matching from pair slots to distinct edge instances.  A slot is
+    a list of candidate instances, normally a pair list of the index."""
 
-    ``pair_insts[u]`` maps each neighbour v of u, in ascending order, to
-    the ascending ids of the instances containing both u and v; the two
-    directions of a pair share one list.  A slot is such a list.
-    """
+    __slots__ = ("slots", "match", "owner")
 
-    __slots__ = ("pair_insts", "slots", "match", "owner")
-
-    def __init__(self, h: Hypergraph):
-        pairs: dict[tuple[int, int], list[int]] = {}
-        for i, e in enumerate(h.edges):
-            for a in range(len(e)):
-                for b in range(a + 1, len(e)):
-                    pairs.setdefault((e[a], e[b]), []).append(i)
-        pair_insts: list[dict[int, list[int]]] = [{} for _ in range(h.n)]
-        for (u, v), insts in sorted(pairs.items()):
-            pair_insts[u][v] = insts
-            pair_insts[v][u] = insts
-        self.pair_insts = pair_insts
+    def __init__(self):
         self.slots: list[list[int]] = []  # slot -> candidate instances
         self.match: list[int] = []  # slot -> instance
         self.owner: dict[int, int] = {}  # instance -> slot
@@ -143,36 +154,46 @@ class _PairMatcher:
 
 
 def _walk(
-    h: Hypergraph, most: int, close_from: int = 0
+    index: list[dict[int, list[int]]],
+    most: int,
+    close_from: int = 0,
+    anchor: tuple[tuple[int, ...], int] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The depth-first walk behind every query.
 
-    Sequences start at each vertex in ascending order and step to
-    neighbours in ascending order, as long as the matcher can give the
-    new pair a distinct instance.  ``most`` is the largest witness
-    length (instance count) to reach.
+    Sequences step to neighbours in the ascending order of ``index``, as
+    long as the matcher can give the new pair a distinct instance.
+    ``most`` is the largest witness length (instance count) to reach.
+    Unanchored, sequences start at each vertex in ascending order.  With
+    ``anchor`` = (edge, inst) they start at each pair u < v of ``edge``
+    instead, and that first slot holds only ``inst``, an instance id
+    outside the index, so every sequence walked uses ``inst`` there.
 
     Path mode (``close_from`` 0) returns the first deepest sequence,
-    stopping early once it has ``most`` edges.  Cycle mode starts each
-    sequence at its minimum vertex, tries to close it back to its start
-    once it has at least ``close_from`` vertices, grows it to at most
-    ``most`` vertices, and returns the first cycle closed.  The result is
-    (vertices, instances), or None when nothing qualifies.
+    stopping early once it has ``most`` edges.  It grows the right end;
+    an anchored path, at every length of its right end, also grows its
+    left end from u (u < v covers both orientations of the anchor pair).
+    Cycle mode tries to close a sequence back to its first vertex once
+    it has at least ``close_from`` vertices, grows it to at most ``most``
+    vertices, and returns the first cycle closed; unanchored, each
+    sequence starts at its minimum vertex.  The result is (vertices,
+    instances), or None when nothing qualifies.
     """
-    matcher = _PairMatcher(h)
-    pair_insts = matcher.pair_insts
-    used = [False] * h.n
+    matcher = _PairMatcher()
+    used = [False] * len(index)
     seq: list[int] = []
+    grow_left = anchor is not None and not close_from
+    split = 0  # growing the left end: the slot count when it started
     found = None
     reach = 1  # path mode: vertex count of ``found``
 
     def extend() -> bool:
-        nonlocal found, reach
+        nonlocal found, reach, split
         size = len(seq)
         last = seq[-1]
         if close_from:
             if size >= close_from:
-                insts = pair_insts[last].get(seq[0])
+                insts = index[last].get(seq[0])
                 if insts and matcher.push(insts):
                     found = (tuple(seq), matcher.assignment())
                     return True
@@ -180,10 +201,23 @@ def _walk(
                 return False
         elif size > reach:
             reach = size
-            found = (tuple(seq), matcher.assignment())
+            # While the left end grows the sequence is reversed, and so
+            # is the order of the first ``split`` slots in it.
+            insts = matcher.assignment()
+            found = (tuple(seq), insts[:split][::-1] + insts[split:])
             if size > most:
                 return True
-        for nxt, insts in pair_insts[last].items():
+        if grow_left and not split:
+            # Reversed, the sequence ends at u, so the steps below grow
+            # the left end.
+            seq.reverse()
+            split = size - 1
+            stop = extend()
+            split = 0
+            seq.reverse()
+            if stop:
+                return True
+        for nxt, insts in index[last].items():
             if used[nxt] or not matcher.push(insts):
                 continue
             seq.append(nxt)
@@ -196,8 +230,19 @@ def _walk(
                 return True
         return False
 
-    for start in range(h.n):
-        if not pair_insts[start]:
+    if anchor is not None:
+        edge, inst = anchor
+        for u, v in itertools.combinations(edge, 2):
+            seq[:] = (u, v)
+            used[u] = used[v] = True
+            matcher.push([inst])
+            if extend():
+                break
+            matcher.pop()
+            used[u] = used[v] = False
+        return found
+    for start in range(len(index)):
+        if not index[start]:
             continue
         seq.append(start)
         used[start] = True
@@ -205,7 +250,7 @@ def _walk(
             break
         seq.pop()
         # A cycle sequence starts at its minimum vertex, so each finished
-        # anchor stays marked used.
+        # start stays marked used.
         used[start] = bool(close_from)
     return found
 
@@ -222,7 +267,7 @@ def contains_berge_path(
         raise ValueError(f"path length must be >= 1, got {k}")
     witness = None
     if k <= min(len(h.edges), h.n - 1):
-        found = _walk(h, k)
+        found = _walk(_pair_index(h), k)
         if found is not None and len(found[0]) == k + 1:
             witness = BergeWitness("path", *found)
     if want_witness:
@@ -236,7 +281,7 @@ def longest_berge_path(h: Hypergraph) -> tuple[int, BergeWitness | None]:
     The empty hypergraph yields (0, None).  The witness is the first one
     found in ascending vertex order at the maximal length.
     """
-    found = _walk(h, min(len(h.edges), h.n - 1))
+    found = _walk(_pair_index(h), min(len(h.edges), h.n - 1))
     if found is None:
         return 0, None
     return len(found[1]), BergeWitness("path", *found)
@@ -257,9 +302,45 @@ def contains_berge_cycle(
     witness = None
     cap = min(len(h.edges), h.n)
     if k <= cap:
-        found = _walk(h, k if mode == "exact" else cap, close_from=k)
+        found = _walk(_pair_index(h), k if mode == "exact" else cap, close_from=k)
         if found is not None:
             witness = BergeWitness("cycle", *found)
     if want_witness:
         return (witness is not None), witness
     return witness is not None
+
+
+def new_edge_detector(
+    h: Hypergraph, k: int, cycle_mode: str | None = None
+) -> Callable[[tuple[int, ...]], bool]:
+    """A test ``e -> bool``: does h plus one more instance of the sorted
+    edge e contain a Berge path of length k (``cycle_mode`` None), or a
+    Berge cycle of length exactly k ("exact") or at least k ("at_least")?
+
+    Precondition: h contains none.  Then any witness in h + e uses the
+    added instance, so the walk is anchored at it, on each pair of e in
+    turn.  Every other slot is matched to an instance of h, over the pair
+    index of h, which is built once here and shared by every test.  On
+    an h that breaks the precondition the answers mean nothing.
+    """
+    index = _pair_index(h)
+    inst = len(h.edges)
+    if cycle_mode is None:
+        if k < 1:
+            raise ValueError(f"path length must be >= 1, got {k}")
+        most, close_from, cap = k, 0, min(inst + 1, h.n - 1)
+    else:
+        if k < 2:
+            raise ValueError(f"cycle length must be >= 2, got {k}")
+        if cycle_mode not in ("exact", "at_least"):
+            raise ValueError(f"unknown cycle mode {cycle_mode!r}")
+        cap = min(inst + 1, h.n)
+        most, close_from = (k if cycle_mode == "exact" else cap), k
+
+    def violates_with(e: tuple[int, ...]) -> bool:
+        if k > cap:
+            return False
+        found = _walk(index, most, close_from, (e, inst))
+        return found is not None and (close_from > 0 or len(found[1]) == k)
+
+    return violates_with

@@ -6,6 +6,10 @@ labeled representative per isomorphism class; children are generated by
 adding every still-admissible instance to every representative and
 deduplicating on canonical form.  Freeness of the forbidden family is
 hereditary downward, so a violating child prunes its whole subtree.
+Every parent expanded is therefore family-free, so a child violates
+exactly when a forbidden configuration runs through its new instance;
+``FamilySpec.child_violates`` tests only those, over one pair index per
+parent, instead of running the full detector on every child.
 
 Connectivity is NOT hereditary and is therefore only evaluated, never
 used to prune directly; instead a reachability-potential prune discards
@@ -28,8 +32,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable
 
-from .berge import contains_berge_cycle, contains_berge_path, longest_berge_path
+from .berge import (
+    contains_berge_cycle,
+    contains_berge_path,
+    longest_berge_path,
+    new_edge_detector,
+)
 from .hypergraph import (
     Hypergraph,
     all_vertex_subsets,
@@ -72,6 +82,18 @@ class FamilySpec:
             return contains_berge_cycle(h, self.k, "exact")
         return contains_berge_cycle(h, self.k, "at_least")
 
+    def child_violates(self, parent: Hypergraph) -> Callable[[tuple[int, ...]], bool]:
+        """A test ``e -> violates(parent.with_edge(e))`` for a ``parent``
+        that does not violate.
+
+        Exact only under that precondition, which every parent the level
+        search expands meets: a witness in the child must then use the
+        added instance, so the test walks only through it, over one pair
+        index of ``parent`` shared by all its candidates.
+        """
+        mode = {"bp": None, "bc_exact": "exact", "bc_at_least": "at_least"}[self.kind]
+        return new_edge_detector(parent, self.k, mode)
+
     def label(self) -> str:
         tag = {"bp": "BP", "bc_exact": "BC", "bc_at_least": "BC>="}[self.kind]
         return f"{tag}{self.k},m<={self.multiplicity_cap}"
@@ -107,7 +129,13 @@ def _expand_chunk(
     candidates: list[tuple[int, ...]],
     level: int,
     deadline: float | None,
+    node_budget: int | None,
+    spent: int,
 ) -> tuple[int, dict[bytes, Hypergraph]]:
+    """Expand ``parents``, all free of the forbidden family, by one
+    instance each.  ``spent`` children were tested before this level;
+    both budgets are checked before each parent, so a chunk stops at
+    most one parent's candidates past the node budget."""
     tested = 0
     out: dict[bytes, Hypergraph] = {}
     for parent in parents:
@@ -115,17 +143,24 @@ def _expand_chunk(
             raise SearchLimitError(
                 f"time budget exceeded while expanding level {level}"
             )
+        if node_budget is not None and spent + tested > node_budget:
+            raise SearchLimitError(
+                f"node budget {node_budget} exceeded while expanding level {level}"
+            )
         counts: dict[tuple[int, ...], int] = {}
         for e in parent.edges:
             counts[e] = counts.get(e, 0) + 1
+        violates_with = spec.child_violates(parent)
         feasible: list[Hypergraph] = []
         feasible_edges: list[tuple[int, ...]] = []
         for e in candidates:
             if counts.get(e, 0) >= spec.multiplicity_cap:
                 continue
+            # Built for every tested child, not only the feasible ones:
+            # the traced benchmark counts tested children by these calls.
             child = parent.with_edge(e)
             tested += 1
-            if spec.violates(child):
+            if violates_with(e):
                 continue
             feasible.append(child)
             feasible_edges.append(e)
@@ -156,8 +191,10 @@ def _run_levels(
     """Drive the level BFS; calls on_level(level, _LevelResult).
 
     ``start`` = (level, representatives, tested_so_far) resumes a run
-    whose earlier levels were already reported.  The time budget is
-    checked before each parent is expanded, so it holds inside a level.
+    whose earlier levels were already reported.  Both budgets are
+    checked before each parent is expanded, so they hold inside a level;
+    the node budget is checked again after each level, because a chunk
+    run in a thread sees only its own count.
     Returns (total_tested, deepest_level_reached).
     """
     if n < 1:
@@ -182,13 +219,15 @@ def _run_levels(
                 results = list(
                     pool.map(
                         lambda ch: _expand_chunk(
-                            ch, n, r, spec, candidates, level, deadline),
+                            ch, n, r, spec, candidates, level, deadline,
+                            node_budget, total_tested),
                         chunks,
                     )
                 )
         else:
             results = [
-                _expand_chunk(current, n, r, spec, candidates, level, deadline)
+                _expand_chunk(current, n, r, spec, candidates, level, deadline,
+                              node_budget, total_tested)
             ]
         merged: dict[bytes, Hypergraph] = {}
         for tested, out in results:
@@ -196,7 +235,7 @@ def _run_levels(
             merged.update(out)
         if node_budget is not None and total_tested > node_budget:
             raise SearchLimitError(
-                f"node budget {node_budget} exceeded at level {level + 1}"
+                f"node budget {node_budget} exceeded while expanding level {level}"
             )
         if not merged:
             break

@@ -256,6 +256,31 @@ def test_witnesses_are_the_least_qualifying_sequences():
     assert checked > 20
 
 
+def test_anchored_walk_witnesses_use_the_added_instance():
+    """An anchored walk's witness is a Berge path or cycle of h plus the
+    added instance, and that instance is in it."""
+    from bergeturan.berge import _pair_index, _walk
+    from bergeturan.hypergraph import Hypergraph
+
+    rng = random.Random(29)
+    checked = {"path": 0, "cycle": 0}
+    for _ in range(80):
+        h = random_hypergraph(rng, 7, 3, 6, multi=True)
+        e = tuple(sorted(rng.sample(range(7), 3)))
+        inst = len(h.edges)
+        child = Hypergraph(h.n, h.r, h.edges + (e,))
+        index = _pair_index(h)
+        for k in (2, 3, 4, 5):
+            for kind, close_from in (("path", 0), ("cycle", k)):
+                found = _walk(index, k, close_from, (e, inst))
+                if found is None:
+                    continue
+                w = BergeWitness(kind, *found)
+                assert verify_witness(child, w) and inst in w.edge_instances, (h, e, w)
+                checked[kind] += 1
+    assert min(checked.values()) > 50, checked
+
+
 # -- cycles ------------------------------------------------------------
 
 def test_two_overlapping_edges_make_bc2():

@@ -47,6 +47,52 @@ def test_family_spec_violates_dispatch():
     assert not FamilySpec("bc_at_least", 3).violates(h)
 
 
+def _random_free_parent(rng, n, r, spec):
+    """Up to a random number of instances, taken in random order from
+    every vertex set times the cap, each kept when the result stays free
+    of the family; the largest are maximal family-free."""
+    import itertools
+
+    from bergeturan.hypergraph import Hypergraph
+
+    pool = list(itertools.combinations(range(n), r)) * spec.multiplicity_cap
+    rng.shuffle(pool)
+    want = rng.randint(0, len(pool))
+    edges = []
+    for e in pool:
+        if len(edges) == want:
+            break
+        grown = tuple(sorted(edges + [e]))
+        if not spec.violates(Hypergraph(n, r, grown)):
+            edges = list(grown)
+    return Hypergraph(n, r, tuple(edges))
+
+
+def test_child_violates_matches_full_detector():
+    """The anchored test agrees with the full detector on every candidate
+    edge of random family-free parents, including edges the parent
+    already holds."""
+    import itertools
+    import random
+
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    repeated = 0
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        r = rng.randint(2, min(4, n))
+        spec = FamilySpec(rng.choice(("bp", "bc_exact", "bc_at_least")),
+                          rng.randint(2, 6), rng.choice((1, 2)))
+        parent = _random_free_parent(rng, n, r, spec)
+        test = spec.child_violates(parent)
+        for e in itertools.combinations(range(n), r):
+            expect = spec.violates(parent.with_edge(e))
+            assert test(e) == expect, (spec, parent.edges, e)
+            seen[expect] += 1
+            repeated += e in parent.edges
+    assert min(seen.values()) > 500 and repeated > 500, (seen, repeated)
+
+
 # -- exact values --------------------------------------------------------
 
 def test_bp3_r3_pattern():
@@ -226,6 +272,23 @@ def test_default_limits_enforced():
 def test_node_budget():
     with pytest.raises(SearchLimitError):
         exact_ex_conn(7, 3, FamilySpec("bp", 3), node_budget=10)
+
+
+def test_node_budget_holds_inside_a_level(monkeypatch):
+    """The node budget is checked before each parent, so the search stops
+    at most one parent's candidates past it, and names the level."""
+    from math import comb
+
+    from bergeturan.hypergraph import Hypergraph
+
+    tested = []
+    with_edge = Hypergraph.with_edge
+    monkeypatch.setattr(Hypergraph, "with_edge",
+                        lambda h, e: tested.append(e) or with_edge(h, e))
+    with pytest.raises(SearchLimitError,
+                       match="node budget 300 exceeded while expanding level 3"):
+        exact_ex_conn(8, 3, FamilySpec("bp", 4), node_budget=300)
+    assert 300 < len(tested) <= 300 + comb(8, 3)
 
 
 def test_time_budget(tmp_path):
