@@ -255,6 +255,26 @@ def _walk(
     return found
 
 
+def _bounds(
+    k: int | None, mode: str | None, instances: int, n: int
+) -> tuple[int, int, int]:
+    """The walk's ``most`` and ``close_from`` for a query, and its cap:
+    the longest path (``mode`` None) or cycle ("exact" or "at_least")
+    that ``instances`` instances on n vertices can hold.  A path query
+    with k None asks for a longest path, so ``most`` is the cap."""
+    if mode is None:
+        if k is not None and k < 1:
+            raise ValueError(f"path length must be >= 1, got {k}")
+        cap = min(instances, n - 1)
+        return (cap if k is None else k), 0, cap
+    if k < 2:
+        raise ValueError(f"cycle length must be >= 2, got {k}")
+    if mode not in ("exact", "at_least"):
+        raise ValueError(f"unknown cycle mode {mode!r}")
+    cap = min(instances, n)
+    return (k if mode == "exact" else cap), k, cap
+
+
 # ----------------------------------------------------------------------
 # Public queries
 # ----------------------------------------------------------------------
@@ -263,11 +283,10 @@ def contains_berge_path(
     h: Hypergraph, k: int, want_witness: bool = False
 ) -> bool | tuple[bool, BergeWitness | None]:
     """Exact decision for a Berge path of length k (k >= 1)."""
-    if k < 1:
-        raise ValueError(f"path length must be >= 1, got {k}")
+    most, _, cap = _bounds(k, None, len(h.edges), h.n)
     witness = None
-    if k <= min(len(h.edges), h.n - 1):
-        found = _walk(_pair_index(h), k)
+    if k <= cap:
+        found = _walk(_pair_index(h), most)
         if found is not None and len(found[0]) == k + 1:
             witness = BergeWitness("path", *found)
     if want_witness:
@@ -281,7 +300,8 @@ def longest_berge_path(h: Hypergraph) -> tuple[int, BergeWitness | None]:
     The empty hypergraph yields (0, None).  The witness is the first one
     found in ascending vertex order at the maximal length.
     """
-    found = _walk(_pair_index(h), min(len(h.edges), h.n - 1))
+    most, _, _ = _bounds(None, None, len(h.edges), h.n)
+    found = _walk(_pair_index(h), most)
     if found is None:
         return 0, None
     return len(found[1]), BergeWitness("path", *found)
@@ -295,14 +315,10 @@ def contains_berge_cycle(
     mode "exact": a cycle of length exactly k; mode "at_least": any
     length >= k.  Requires k >= 2.
     """
-    if k < 2:
-        raise ValueError(f"cycle length must be >= 2, got {k}")
-    if mode not in ("exact", "at_least"):
-        raise ValueError(f"unknown cycle mode {mode!r}")
+    most, close_from, cap = _bounds(k, mode, len(h.edges), h.n)
     witness = None
-    cap = min(len(h.edges), h.n)
     if k <= cap:
-        found = _walk(_pair_index(h), k if mode == "exact" else cap, close_from=k)
+        found = _walk(_pair_index(h), most, close_from)
         if found is not None:
             witness = BergeWitness("cycle", *found)
     if want_witness:
@@ -323,19 +339,9 @@ def new_edge_detector(
     index of h, which is built once here and shared by every test.  On
     an h that breaks the precondition the answers mean nothing.
     """
-    index = _pair_index(h)
     inst = len(h.edges)
-    if cycle_mode is None:
-        if k < 1:
-            raise ValueError(f"path length must be >= 1, got {k}")
-        most, close_from, cap = k, 0, min(inst + 1, h.n - 1)
-    else:
-        if k < 2:
-            raise ValueError(f"cycle length must be >= 2, got {k}")
-        if cycle_mode not in ("exact", "at_least"):
-            raise ValueError(f"unknown cycle mode {cycle_mode!r}")
-        cap = min(inst + 1, h.n)
-        most, close_from = (k if cycle_mode == "exact" else cap), k
+    most, close_from, cap = _bounds(k, cycle_mode, inst + 1, h.n)
+    index = _pair_index(h)
 
     def violates_with(e: tuple[int, ...]) -> bool:
         if k > cap:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .berge import contains_berge_cycle, contains_berge_path, longest_berge_path
@@ -53,12 +52,8 @@ EXIT_POSTCONDITION = 4
 
 VERIFY_DETECTOR_N_CAP = 24
 
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BERGETURAN_WORKERS", "1")))
-    except ValueError:
-        return 1
+WORKERS_HELP = ("accepted for compatibility; the search runs in one thread "
+                "and gives the same output for any value")
 
 
 def _read_hypergraph(path: str) -> Hypergraph:
@@ -284,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--bc", type=int)
     c.add_argument("--at-least", action="store_true")
     c.add_argument("--multiplicity", type=int, default=1, metavar="M")
-    c.add_argument("--workers", type=int, default=_default_workers())
+    c.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     c.add_argument("--witness-cap", type=int, default=10)
     c.add_argument("--node-budget", type=int, default=None)
     c.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
@@ -311,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("n", type=int)
     c.add_argument("r", type=int)
     c.add_argument("k", type=int)
-    c.add_argument("--workers", type=int, default=_default_workers())
+    c.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     c.add_argument("--force", action="store_true")
     c.add_argument("--timing", action="store_true")
     c.add_argument("--out")
@@ -321,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--n-range", required=True, metavar="A..B")
-    c.add_argument("--workers", type=int, default=_default_workers())
+    c.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     c.add_argument("--force", action="store_true")
     c.add_argument("--out")
     c.set_defaults(fn=_cmd_table)

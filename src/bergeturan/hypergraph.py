@@ -322,20 +322,19 @@ def _refine(
         cells = out
 
 
-def canonical_form(
-    h: Hypergraph, *, n_limit: int = CANONICAL_N_LIMIT
-) -> tuple[bytes, tuple[int, ...]]:
+def canonical_form(h: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
     """Canonical byte string plus a relabeling (old -> new) achieving it.
 
     Two hypergraphs get identical strings iff they are isomorphic as
     multi-hypergraphs.  Deterministic.  Raises CanonicalSizeError above
-    the configured exact limit.
+    ``CANONICAL_N_LIMIT`` vertices.
     """
-    if h._canon is not None and n_limit >= h.n:
+    if h._canon is not None:
         return h._canon
-    if h.n > n_limit:
+    if h.n > CANONICAL_N_LIMIT:
         raise CanonicalSizeError(
-            f"exact canonicalization limited to n <= {n_limit}, got n = {h.n}"
+            f"exact canonicalization limited to n <= {CANONICAL_N_LIMIT}, "
+            f"got n = {h.n}"
         )
 
     edges = h.edges
@@ -451,8 +450,8 @@ def _encode(n: int, r: int, relabeled_edges: tuple[tuple[int, ...], ...]) -> byt
     return ";".join(parts).encode("ascii")
 
 
-def canonical_key(h: Hypergraph, *, n_limit: int = CANONICAL_N_LIMIT) -> bytes:
-    return canonical_form(h, n_limit=n_limit)[0]
+def canonical_key(h: Hypergraph) -> bytes:
+    return canonical_form(h)[0]
 
 
 def from_canonical_string(s: str | bytes) -> Hypergraph:
@@ -475,9 +474,9 @@ def relabel(h: Hypergraph, pi: dict[int, int] | tuple[int, ...]) -> Hypergraph:
     return Hypergraph.build(h.n, h.r, edges)
 
 
-def canonical_relabeled(h: Hypergraph, *, n_limit: int = CANONICAL_N_LIMIT) -> Hypergraph:
+def canonical_relabeled(h: Hypergraph) -> Hypergraph:
     """The canonically labeled representative of h's isomorphism class."""
-    _, pi = canonical_form(h, n_limit=n_limit)
+    _, pi = canonical_form(h)
     return relabel(h, pi)
 
 

@@ -18,9 +18,9 @@ connect and span the vertex set (no superset of such a representative
 can ever qualify, and every qualifying class keeps at least one live
 generation chain, so nothing is lost).
 
-Worker counts only split level expansion into chunks; results are merged
-by canonical key, so value, witnesses and node counts are independent of
-scheduling.
+Levels are expanded one parent at a time in the calling thread, in the
+order of their canonical keys, so value, witnesses and node counts are
+deterministic.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable
+from typing import Callable, Iterator
 
 from .berge import (
     contains_berge_cycle,
@@ -41,6 +40,7 @@ from .berge import (
     new_edge_detector,
 )
 from .hypergraph import (
+    CANONICAL_N_LIMIT,
     Hypergraph,
     all_vertex_subsets,
     canonical_form,
@@ -50,7 +50,9 @@ from .hypergraph import (
     relabel,
 )
 
-FORBIDDEN_KINDS = ("bp", "bc_exact", "bc_at_least")
+# Each forbidden family kind and the detector's cycle mode (None: a path).
+_CYCLE_MODES = {"bp": None, "bc_exact": "exact", "bc_at_least": "at_least"}
+FORBIDDEN_KINDS = tuple(_CYCLE_MODES)
 
 
 class SearchLimitError(ValueError):
@@ -76,11 +78,10 @@ class FamilySpec:
             raise ValueError("multiplicity cap must be >= 1")
 
     def violates(self, h: Hypergraph) -> bool:
-        if self.kind == "bp":
+        mode = _CYCLE_MODES[self.kind]
+        if mode is None:
             return contains_berge_path(h, self.k)
-        if self.kind == "bc_exact":
-            return contains_berge_cycle(h, self.k, "exact")
-        return contains_berge_cycle(h, self.k, "at_least")
+        return contains_berge_cycle(h, self.k, mode)
 
     def child_violates(self, parent: Hypergraph) -> Callable[[tuple[int, ...]], bool]:
         """A test ``e -> violates(parent.with_edge(e))`` for a ``parent``
@@ -91,8 +92,7 @@ class FamilySpec:
         added instance, so the test walks only through it, over one pair
         index of ``parent`` shared by all its candidates.
         """
-        mode = {"bp": None, "bc_exact": "exact", "bc_at_least": "at_least"}[self.kind]
-        return new_edge_detector(parent, self.k, mode)
+        return new_edge_detector(parent, self.k, _CYCLE_MODES[self.kind])
 
     def label(self) -> str:
         tag = {"bp": "BP", "bc_exact": "BC", "bc_at_least": "BC>="}[self.kind]
@@ -113,89 +113,24 @@ def default_n_limit(r: int, multiplicity_cap: int = 1) -> int:
 # Level-by-level isomorphism-reduced enumeration
 # ----------------------------------------------------------------------
 
-@dataclass
-class _LevelResult:
-    reps: list[Hypergraph]          # canonical representatives, sorted by key
-    keys: list[bytes]
-    connected: list[bool]
-    tested: int
-
-
-def _expand_chunk(
-    parents: list[Hypergraph],
-    n: int,
-    r: int,
-    spec: FamilySpec,
-    candidates: list[tuple[int, ...]],
-    level: int,
-    deadline: float | None,
-    node_budget: int | None,
-    spent: int,
-) -> tuple[int, dict[bytes, Hypergraph]]:
-    """Expand ``parents``, all free of the forbidden family, by one
-    instance each.  ``spent`` children were tested before this level;
-    both budgets are checked before each parent, so a chunk stops at
-    most one parent's candidates past the node budget."""
-    tested = 0
-    out: dict[bytes, Hypergraph] = {}
-    for parent in parents:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchLimitError(
-                f"time budget exceeded while expanding level {level}"
-            )
-        if node_budget is not None and spent + tested > node_budget:
-            raise SearchLimitError(
-                f"node budget {node_budget} exceeded while expanding level {level}"
-            )
-        counts: dict[tuple[int, ...], int] = {}
-        for e in parent.edges:
-            counts[e] = counts.get(e, 0) + 1
-        violates_with = spec.child_violates(parent)
-        feasible: list[Hypergraph] = []
-        feasible_edges: list[tuple[int, ...]] = []
-        for e in candidates:
-            if counts.get(e, 0) >= spec.multiplicity_cap:
-                continue
-            # Built for every tested child, not only the feasible ones:
-            # the traced benchmark counts tested children by these calls.
-            child = parent.with_edge(e)
-            tested += 1
-            if violates_with(e):
-                continue
-            feasible.append(child)
-            feasible_edges.append(e)
-        if not feasible:
-            continue
-        closure = Hypergraph(n, r, parent.edges + tuple(sorted(set(feasible_edges))))
-        if not is_connected(closure):
-            # No superset of this representative can connect and span.
-            continue
-        for child in feasible:
-            key, pi = canonical_form(child)
-            if key not in out:
-                out[key] = relabel(child, pi)
-    return tested, out
-
-
-def _run_levels(
+def _levels(
     n: int,
     r: int,
     spec: FamilySpec,
     *,
-    workers: int = 1,
     node_budget: int | None = None,
     time_budget: float | None = None,
-    on_level=None,
     start: tuple[int, list[Hypergraph], int] | None = None,
-) -> tuple[int, int]:
-    """Drive the level BFS; calls on_level(level, _LevelResult).
+) -> Iterator[tuple[int, list[Hypergraph], list[bytes], int]]:
+    """The level BFS: yields (level, reps, keys, tested) for each level,
+    with the canonical representatives sorted by key and the children
+    tested so far.  A finished run ends with (last level, [], [], tested).
 
     ``start`` = (level, representatives, tested_so_far) resumes a run
-    whose earlier levels were already reported.  Both budgets are
-    checked before each parent is expanded, so they hold inside a level;
-    the node budget is checked again after each level, because a chunk
-    run in a thread sees only its own count.
-    Returns (total_tested, deepest_level_reached).
+    whose earlier levels were already yielded.  Every parent expanded is
+    free of the forbidden family.  The time budget is checked before each
+    parent and the node budget after it, so both hold inside a level and
+    the search stops at most one parent's candidates past the node budget.
     """
     if n < 1:
         raise SearchLimitError("need n >= 1")
@@ -203,50 +138,55 @@ def _run_levels(
     deadline = None if time_budget is None else time.monotonic() + time_budget
     if start is None:
         root = Hypergraph(n, r, ())
-        current = [root]
-        level = 0
-        total_tested = 0
-        if on_level is not None:
-            on_level(level, _LevelResult([root], [canonical_form(root)[0]],
-                                         [is_connected(root)], 0))
+        level, current, tested = 0, [root], 0
+        yield level, current, [canonical_form(root)[0]], tested
     else:
-        level, current, total_tested = start
+        level, current, tested = start
     while current:
-        if workers > 1 and len(current) > 1:
-            size = (len(current) + workers - 1) // workers
-            chunks = [current[i:i + size] for i in range(0, len(current), size)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda ch: _expand_chunk(
-                            ch, n, r, spec, candidates, level, deadline,
-                            node_budget, total_tested),
-                        chunks,
-                    )
+        found: dict[bytes, Hypergraph] = {}
+        for parent in current:
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchLimitError(
+                    f"time budget exceeded while expanding level {level}"
                 )
-        else:
-            results = [
-                _expand_chunk(current, n, r, spec, candidates, level, deadline,
-                              node_budget, total_tested)
-            ]
-        merged: dict[bytes, Hypergraph] = {}
-        for tested, out in results:
-            total_tested += tested
-            merged.update(out)
-        if node_budget is not None and total_tested > node_budget:
-            raise SearchLimitError(
-                f"node budget {node_budget} exceeded while expanding level {level}"
-            )
-        if not merged:
+            counts: dict[tuple[int, ...], int] = {}
+            for e in parent.edges:
+                counts[e] = counts.get(e, 0) + 1
+            violates_with = spec.child_violates(parent)
+            feasible: list[Hypergraph] = []
+            feasible_edges: list[tuple[int, ...]] = []
+            for e in candidates:
+                if counts.get(e, 0) >= spec.multiplicity_cap:
+                    continue
+                # Built for every tested child, not only the feasible ones:
+                # the traced benchmark counts tested children by these calls.
+                child = parent.with_edge(e)
+                tested += 1
+                if violates_with(e):
+                    continue
+                feasible.append(child)
+                feasible_edges.append(e)
+            if node_budget is not None and tested > node_budget:
+                raise SearchLimitError(
+                    f"node budget {node_budget} exceeded while expanding level {level}"
+                )
+            if not feasible:
+                continue
+            closure = Hypergraph(n, r, parent.edges + tuple(sorted(set(feasible_edges))))
+            if not is_connected(closure):
+                # No superset of this representative can connect and span.
+                continue
+            for child in feasible:
+                key, pi = canonical_form(child)
+                if key not in found:
+                    found[key] = relabel(child, pi)
+        if not found:
             break
         level += 1
-        keys = sorted(merged)
-        reps = [merged[k] for k in keys]
-        conn = [is_connected(h) for h in reps]
-        if on_level is not None:
-            on_level(level, _LevelResult(reps, keys, conn, total_tested))
-        current = reps
-    return total_tested, level
+        keys = sorted(found)
+        current = [found[k] for k in keys]
+        yield level, current, keys, tested
+    yield level, [], [], tested
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +234,9 @@ def _check_limits(n: int, r: int, spec: FamilySpec, force: bool) -> None:
             f"{default_n_limit(r, spec.multiplicity_cap)} for r={r}, "
             f"m={spec.multiplicity_cap}; pass force=True to override"
         )
-    if n > 12:
-        raise SearchLimitError("exact canonicalization is limited to n <= 12")
+    if n > CANONICAL_N_LIMIT:
+        raise SearchLimitError(
+            f"exact canonicalization is limited to n <= {CANONICAL_N_LIMIT}")
 
 
 CHECKPOINT_VERSION = 1
@@ -339,56 +280,52 @@ def exact_ex_conn(
     written out (versioned header, current representatives, running
     best); an aborted run resumes from the file and yields the same
     outcome as an uninterrupted one.
+
+    ``workers`` does not change the search: every level is expanded in
+    the calling thread.  It is kept for a process pool over subtrees,
+    which would give it a meaning again.
     """
     _check_limits(n, r, spec, force)
     t0 = time.perf_counter()
-    best: dict = {"level": None, "keys": []}
+    best_level, best_keys = None, []
     start = None
     ck = None if checkpoint_path is None else _load_checkpoint(
         checkpoint_path, n, r, spec)
     if ck is not None:
-        best["level"] = ck["best_level"]
-        best["keys"] = [k.encode("ascii") for k in ck["best_keys"]]
+        best_level = ck["best_level"]
+        best_keys = [k.encode("ascii") for k in ck["best_keys"]]
         reps = [] if ck["complete"] else [
             from_canonical_string(s) for s in ck["reps"]]
         start = (ck["level"], reps, ck["tested"])
 
-    def on_level(level: int, res: _LevelResult) -> None:
-        conn_keys = [k for k, c in zip(res.keys, res.connected) if c]
+    for level, reps, keys, tested in _levels(
+        n, r, spec, node_budget=node_budget, time_budget=time_budget,
+        start=start,
+    ):
+        conn_keys = [k for k, h in zip(keys, reps) if is_connected(h)]
         if conn_keys:
-            best["level"] = level
-            best["keys"] = conn_keys
+            best_level, best_keys = level, conn_keys
         if checkpoint_path is not None:
-            _save_checkpoint(checkpoint_path, n, r, spec, level, res, best,
-                             complete=False)
-
-    tested, last_level = _run_levels(
-        n, r, spec, workers=workers, node_budget=node_budget,
-        time_budget=time_budget, on_level=on_level, start=start,
-    )
-    if checkpoint_path is not None:
-        _save_checkpoint(
-            checkpoint_path, n, r, spec, last_level,
-            _LevelResult([], [], [], tested), best, complete=True,
-        )
+            _save_checkpoint(checkpoint_path, n, r, spec, level, keys, tested,
+                             best_level, best_keys, complete=not reps)
     elapsed = (time.perf_counter() - t0) * 1000
-    if best["level"] is None:
+    if best_level is None:
         return SearchOutcome("infeasible", None, [], tested, elapsed, 0,
                              n, r, spec.label())
-    keys = best["keys"]
-    witnesses = [k.decode("ascii") for k in keys[:witness_cap]]
-    return SearchOutcome("value", best["level"], witnesses, tested, elapsed,
-                         len(keys), n, r, spec.label())
+    witnesses = [k.decode("ascii") for k in best_keys[:witness_cap]]
+    return SearchOutcome("value", best_level, witnesses, tested, elapsed,
+                         len(best_keys), n, r, spec.label())
 
 
-def _save_checkpoint(path, n, r, spec, level, res: _LevelResult, best, complete):
+def _save_checkpoint(path, n, r, spec, level, keys, tested, best_level,
+                     best_keys, complete):
     data = _checkpoint_header(n, r, spec)
     data.update(
         level=level,
-        reps=[k.decode("ascii") for k in res.keys],
-        tested=res.tested,
-        best_level=best["level"],
-        best_keys=[k.decode("ascii") for k in best["keys"]],
+        reps=[k.decode("ascii") for k in keys],
+        tested=tested,
+        best_level=best_level,
+        best_keys=[k.decode("ascii") for k in best_keys],
         complete=complete,
     )
     tmp = path + ".tmp"
@@ -406,15 +343,11 @@ def enumerate_connected_free(
     force: bool = False,
 ) -> list[Hypergraph]:
     """All connected spanning F-free hypergraphs on exactly n vertices,
-    one canonical representative per isomorphism class, every edge count."""
+    one canonical representative per isomorphism class, every edge count.
+    ``workers`` does not change the search, as in ``exact_ex_conn``."""
     _check_limits(n, r, spec, force)
-    found: list[Hypergraph] = []
-
-    def on_level(level: int, res: _LevelResult) -> None:
-        found.extend(h for h, c in zip(res.reps, res.connected) if c)
-
-    _run_levels(n, r, spec, workers=workers, on_level=on_level)
-    return found
+    return [h for _, reps, _, _ in _levels(n, r, spec)
+            for h in reps if is_connected(h)]
 
 
 # ----------------------------------------------------------------------
@@ -663,7 +596,8 @@ def conjecture_check(
 ) -> ConjectureReport:
     """Compare the exact search value against the conjectured closed form
     n - (k-2) + C(k-2, r) for r+1 <= k <= 2r-1, and against the witnessing
-    construction's edge count."""
+    construction's edge count.  ``workers`` does not change the search,
+    as in ``exact_ex_conn``."""
     if not (r + 1 <= k <= 2 * r - 1):
         raise ValueError(f"conjectured range is r+1 <= k <= 2r-1, got k={k}, r={r}")
     from .constructions import clique_pendant_family

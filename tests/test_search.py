@@ -274,9 +274,11 @@ def test_node_budget():
         exact_ex_conn(7, 3, FamilySpec("bp", 3), node_budget=10)
 
 
-def test_node_budget_holds_inside_a_level(monkeypatch):
-    """The node budget is checked before each parent, so the search stops
-    at most one parent's candidates past it, and names the level."""
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_node_budget_holds_inside_a_level(monkeypatch, workers):
+    """The node budget is checked after each parent, so the search stops
+    at most one parent's candidates past it, at any worker count, and
+    names the level."""
     from math import comb
 
     from bergeturan.hypergraph import Hypergraph
@@ -287,7 +289,8 @@ def test_node_budget_holds_inside_a_level(monkeypatch):
                         lambda h, e: tested.append(e) or with_edge(h, e))
     with pytest.raises(SearchLimitError,
                        match="node budget 300 exceeded while expanding level 3"):
-        exact_ex_conn(8, 3, FamilySpec("bp", 4), node_budget=300)
+        exact_ex_conn(8, 3, FamilySpec("bp", 4), node_budget=300,
+                      workers=workers)
     assert 300 < len(tested) <= 300 + comb(8, 3)
 
 
@@ -322,13 +325,16 @@ def test_time_budget_holds_inside_a_level(monkeypatch, tmp_path):
     assert ck["level"] == 2 and len(ck["reps"]) > 1
 
 
-def test_checkpoint_resume_matches_fresh_run(tmp_path):
+@pytest.mark.parametrize("budget, level", [(100, 2), (200, 3)])
+def test_checkpoint_resume_matches_fresh_run(tmp_path, budget, level):
     spec = FamilySpec("bp", 3)
     fresh = exact_ex_conn(7, 3, spec).stable_json()
     path = str(tmp_path / "ck.json")
-    # Abort mid-run via a node budget, then resume to completion.
-    with pytest.raises(SearchLimitError):
-        exact_ex_conn(7, 3, spec, node_budget=100, checkpoint_path=path)
+    # Abort mid-run via a node budget, then resume to completion.  At
+    # budget 200 the search stops while expanding its last level.
+    with pytest.raises(SearchLimitError,
+                       match=f"exceeded while expanding level {level}$"):
+        exact_ex_conn(7, 3, spec, node_budget=budget, checkpoint_path=path)
     resumed = exact_ex_conn(7, 3, spec, checkpoint_path=path).stable_json()
     assert resumed == fresh
     # Resuming a complete checkpoint is a no-op with the same outcome.
