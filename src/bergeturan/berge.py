@@ -25,7 +25,10 @@ configuration sought.  Then h plus one more instance of an edge e
 contains one exactly when some witness uses the added instance, so the
 same walk is anchored there: it starts at a pair of e whose slot holds
 only that instance and runs over the index of h, which is built once
-for all candidate edges.
+for all candidate edges.  Since every slot after the first holds
+instances of h, the answer for an anchor pair does not depend on the
+rest of e, so each pair is walked at most once per h and a candidate's
+answer is the OR over its pairs: at most C(n, 2) walks per h.
 
 All functions are pure and deterministic.  Because sequences are
 visited in lexicographic order, a path witness has the lexicographically
@@ -334,19 +337,31 @@ def new_edge_detector(
     Berge cycle of length exactly k ("exact") or at least k ("at_least")?
 
     Precondition: h contains none.  Then any witness in h + e uses the
-    added instance, so the walk is anchored at it, on each pair of e in
-    turn.  Every other slot is matched to an instance of h, over the pair
-    index of h, which is built once here and shared by every test.  On
-    an h that breaks the precondition the answers mean nothing.
+    added instance, so the walk is anchored at it, on each pair u < v of
+    e.  That first slot holds only the added instance, and every other
+    slot is matched to an instance of h over the pair index of h, so the
+    answer for a pair does not depend on the rest of e.  Each pair is
+    therefore walked at most once per call, on its first lookup, and a
+    test is the OR of its pairs' answers: at most C(n, 2) walks for all
+    candidates of h.  On an h that breaks the precondition the answers
+    mean nothing.
     """
     inst = len(h.edges)
     most, close_from, cap = _bounds(k, cycle_mode, inst + 1, h.n)
+    if k > cap:
+        return lambda e: False
     index = _pair_index(h)
+    answers: dict[tuple[int, int], bool] = {}
+
+    def through(pair: tuple[int, int]) -> bool:
+        hit = answers.get(pair)
+        if hit is None:
+            found = _walk(index, most, close_from, (pair, inst))
+            hit = found is not None and (close_from > 0 or len(found[1]) == k)
+            answers[pair] = hit
+        return hit
 
     def violates_with(e: tuple[int, ...]) -> bool:
-        if k > cap:
-            return False
-        found = _walk(index, most, close_from, (e, inst))
-        return found is not None and (close_from > 0 or len(found[1]) == k)
+        return any(map(through, itertools.combinations(e, 2)))
 
     return violates_with

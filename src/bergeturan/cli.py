@@ -131,6 +131,8 @@ def _cmd_check(args) -> int:
 def _cmd_formula(args) -> int:
     res = conn_bp_value(args.n, args.r, args.k)
     report = {"n": args.n, "r": args.r, "k": args.k, "formula": res.to_json_obj()}
+    if res.refuted:
+        report["refuted"] = res.refuted
     if args.all_bounds:
         report["bounds"] = [b.to_json_obj() for b in
                             applicable_bounds(args.n, args.r, args.k)]

@@ -39,6 +39,10 @@ class FormulaResult:
     regime: str
     source: str
     note: str = ""
+    # Where the exhaustive search refutes ``value``.  Kept out of
+    # ``to_json_obj`` so recorded formula objects stay as they are; the
+    # ``formula`` command prints it next to them.
+    refuted: str = ""
 
     def __post_init__(self):
         assert self.regime in REGIMES
@@ -155,9 +159,17 @@ def _bp3_value(n: int, r: int) -> FormulaResult:
                          f"(r-1) = {r - 1} does not divide (n-1) = {n - 1}")
 
 
+BP4_SMALL_REFUTED = (
+    "exhaustive search refutes this value: exact_ex_conn gives 1 at n = r "
+    "and 3 at every other (n, r) with 4 <= r <= 12 and "
+    "n <= min(r + 4, default_n_limit(r)), for example 3 at (8, 4)"
+)
+
+
 def _bp4_value(n: int, r: int) -> FormulaResult:
     if n <= r + 4:
-        return FormulaResult(_frac(4), "exact", "bp4_small")
+        return FormulaResult(_frac(4), "exact", "bp4_small",
+                             refuted=BP4_SMALL_REFUTED)
     b1 = Fraction(n - 5, r - 1) + 3
     b2 = Fraction(n - 4, r - 2) + 2
     div1 = (n - 5) % (r - 1) == 0

@@ -9,7 +9,11 @@ hereditary downward, so a violating child prunes its whole subtree.
 Every parent expanded is therefore family-free, so a child violates
 exactly when a forbidden configuration runs through its new instance;
 ``FamilySpec.child_violates`` tests only those, over one pair index per
-parent, instead of running the full detector on every child.
+parent, instead of running the full detector on every child.  Such a
+configuration starts at a vertex pair of the new edge and continues in
+the parent alone, so the answer for a pair is the same for every
+candidate edge containing it: each parent needs at most one walk per
+vertex pair, C(n, 2) in all, and a candidate's test ORs its pairs.
 
 Connectivity is NOT hereditary and is therefore only evaluated, never
 used to prune directly; instead a reachability-potential prune discards
@@ -90,7 +94,8 @@ class FamilySpec:
         Exact only under that precondition, which every parent the level
         search expands meets: a witness in the child must then use the
         added instance, so the test walks only through it, over one pair
-        index of ``parent`` shared by all its candidates.
+        index of ``parent`` shared by all its candidates, and at most once
+        per vertex pair of the new edge.
         """
         return new_edge_detector(parent, self.k, _CYCLE_MODES[self.kind])
 

@@ -281,6 +281,55 @@ def test_anchored_walk_witnesses_use_the_added_instance():
     assert min(checked.values()) > 50, checked
 
 
+def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
+    """On a parent free of the configuration, the detector walks each
+    anchor pair at most once over all candidate edges, so at most C(n, 2)
+    times, and answers as one unmemoized walk anchored at the whole edge."""
+    from math import comb
+
+    from bergeturan import berge
+
+    walk = berge._walk
+    anchors = []
+
+    def counting_walk(index, most, close_from=0, anchor=None):
+        anchors.append(anchor and anchor[0])
+        return walk(index, most, close_from, anchor)
+
+    monkeypatch.setattr(berge, "_walk", counting_walk)
+    rng = random.Random(47)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(3, 8)
+        r = rng.randint(2, min(4, n))
+        k = rng.randint(2, 5)
+        mode = rng.choice((None, "exact", "at_least"))
+        if mode is None:
+            contains = lambda g: contains_berge_path(g, k)  # noqa: E731
+        else:
+            contains = lambda g: contains_berge_cycle(g, k, mode)  # noqa: E731
+        pool = list(itertools.combinations(range(n), r)) * 2
+        rng.shuffle(pool)
+        edges = []
+        for e in pool[: rng.randint(0, len(pool))]:
+            if not contains(build(n, r, edges + [e])):
+                edges.append(e)
+        h = build(n, r, edges)
+        inst = len(h.edges)
+        most, close_from, cap = berge._bounds(k, mode, inst + 1, n)
+        index = berge._pair_index(h)
+        anchors.clear()
+        test = berge.new_edge_detector(h, k, mode)
+        for e in itertools.combinations(range(n), r):
+            found = walk(index, most, close_from, (e, inst)) if k <= cap else None
+            expect = found is not None and (close_from > 0 or len(found[1]) == k)
+            assert test(e) == expect, (h, k, mode, e)
+            seen[expect] += 1
+        assert len(set(anchors)) == len(anchors) <= comb(n, 2), (h, k, mode)
+        assert all(len(pair) == 2 for pair in anchors)
+    assert min(seen.values()) > 300, seen
+
+
 # -- cycles ------------------------------------------------------------
 
 def test_two_overlapping_edges_make_bc2():

@@ -1,6 +1,10 @@
 """Command-line interface: formats, round-trips, exit codes, stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,15 @@ def test_formula_json(capsys):
     assert rep["formula"]["regime"] == "exact_for_large_n"
 
 
+def test_formula_prints_the_bp4_small_refutation(capsys):
+    _, out, _ = run(capsys, "formula", "8", "4", "4")
+    rep = json.loads(out)
+    assert rep["formula"] == {"value": "4", "regime": "exact", "source": "bp4_small"}
+    assert "(8, 4)" in rep["refuted"]
+    _, out, _ = run(capsys, "formula", "10", "3", "4")
+    assert "refuted" not in json.loads(out)
+
+
 def test_exact_infeasible_is_exit_zero(capsys):
     code, out, _ = run(capsys, "exact", "6", "3", "--bp", "3")
     assert code == 0
@@ -110,6 +123,17 @@ def test_exact_stable_output_across_workers(capsys):
     _, out2, _ = run(capsys, "exact", "7", "3", "--bp", "3", "--workers", "2")
     assert out1 == out2
     assert "elapsed_ms" not in out1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bergeturan", "exact", "8", "3", "--bp", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 6
 
 
 def test_exact_timing_flag_adds_elapsed(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bergeturan.formulas import (
+    BP4_SMALL_REFUTED,
     FormulaRangeError,
     applicable_bounds,
     bc_value,
@@ -51,6 +52,28 @@ def test_bp4_small_and_bound_regimes():
     assert "pair_hub" in res.note
     res = conn_bp_value(9, 4, 4)  # neither divisibility holds
     assert res.regime == "undefined"
+
+
+def test_bp4_small_carries_its_refutation():
+    res = conn_bp_value(8, 4, 4)
+    assert res.refuted == BP4_SMALL_REFUTED
+    assert "refutes" in res.refuted and "(8, 4)" in res.refuted
+    assert "refuted" not in res.to_json_obj()
+    assert conn_bp_value(10, 4, 4).refuted == ""
+
+
+def test_search_disagrees_with_bp4_small():
+    """Every (n, r) point the refutation names, searched inside the
+    default limits."""
+    from bergeturan.search import FamilySpec, default_n_limit, exact_ex_conn
+
+    formula = conn_bp_value(8, 4, 4).value
+    assert exact_ex_conn(8, 4, FamilySpec("bp", 4)).value != formula
+    for r in range(4, 13):
+        for n in range(r, min(r + 4, default_n_limit(r)) + 1):
+            assert conn_bp_value(n, r, 4).source == "bp4_small"
+            out = exact_ex_conn(n, r, FamilySpec("bp", 4))
+            assert out.value == (1 if n == r else 3) != formula, (n, r)
 
 
 def test_bp2_values():
