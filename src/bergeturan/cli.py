@@ -36,7 +36,7 @@ from .formulas import (
     classical_bound,
     conn_bp_value,
 )
-from .hypergraph import Hypergraph, HypergraphError, from_json, from_text, is_connected
+from .hypergraph import Hypergraph, from_json, from_text, is_connected
 from .search import (
     FamilySpec,
     SearchLimitError,
@@ -107,23 +107,19 @@ def _cmd_check(args) -> int:
     if args.bp is not None:
         has, w = contains_berge_path(h, args.bp, want_witness=True)
         report["family"] = f"BP{args.bp}"
-        report["contains"] = has
-        report["free"] = not has
-        if w is not None:
-            report["witness"] = w.to_json_obj()
     elif args.bc is not None:
         mode = "at_least" if args.at_least else "exact"
         has, w = contains_berge_cycle(h, args.bc, mode, want_witness=True)
         report["family"] = f"BC{'>=' if args.at_least else ''}{args.bc}"
-        report["contains"] = has
-        report["free"] = not has
-        if w is not None:
-            report["witness"] = w.to_json_obj()
     else:
+        has = None
         t, w = longest_berge_path(h)
         report["longest_berge_path"] = t
-        if w is not None:
-            report["witness"] = w.to_json_obj()
+    if has is not None:
+        report["contains"] = has
+        report["free"] = not has
+    if w is not None:
+        report["witness"] = w.to_json_obj()
     _emit(_json_dump(report), args.out)
     return EXIT_OK
 
@@ -331,11 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FamilyParamError, FormulaRangeError, SearchLimitError,
-            HypergraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAM
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # FamilyParamError, FormulaRangeError, SearchLimitError and
+        # HypergraphError are all ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
 

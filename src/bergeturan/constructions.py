@@ -34,11 +34,13 @@ def _blocks(start: int, size: int, count: int) -> list[list[int]]:
 
 
 def _hub_block_edges(hub: int, fresh: list[int], s: int, r: int) -> list[list[int]]:
-    """s distinct r-edges through ``hub`` covering all of ``fresh``.
+    """s r-edges through ``hub`` covering all of ``fresh``.
 
     Each edge is the hub plus a circular (r-1)-window of the fresh list;
     window starts are evenly spaced, which covers every fresh vertex as
-    long as s*(r-1) >= len(fresh) and keeps the edges pairwise distinct.
+    long as s*(r-1) >= len(fresh).  The edges are pairwise distinct when
+    len(fresh) > r-1; with exactly r-1 fresh vertices every window is the
+    whole block, so the s edges are one edge of multiplicity s.
     """
     q = len(fresh)
     if s > q:
@@ -270,7 +272,8 @@ def multi_family(n: int, r: int, k: int, variant: str) -> Hypergraph:
     variant "star": with n = 1 + a*(r-1) + b (a >= 2, 0 <= b <= r-3):
     a-1 hub edges of multiplicity floor((k-1)/2) on r-1 private fresh
     vertices each, plus one block of r-1+b fresh vertices carrying
-    ceil((k-1)/2) simple edges.  Instance count:
+    ceil((k-1)/2) edge instances: distinct edges when b > 0, one edge of
+    that multiplicity when b = 0.  Instance count:
     floor((n-1)/(r-1)) * floor((k-1)/2) + (1 if k even else 0).
 
     variant "cycle": one vertex set of size r with multiplicity k-1

@@ -342,19 +342,13 @@ def canonical_form(h: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
     support = [v for v in range(h.n) if inc[v]]
     isolated = [v for v in range(h.n) if not inc[v]]
 
-    if not support:
-        pi = tuple(range(h.n))
-        code = _encode(h.n, h.r, ())
-        h._canon = (code, pi)
-        return h._canon
-
     # Vertices with equal incidence lists lie in the same edges, so a cell
     # of them can be ordered freely and is never individualized.
     twin_ids: dict[tuple[int, ...], int] = {}
     twin = [twin_ids.setdefault(tuple(lst), len(twin_ids)) for lst in inc]
     weight = [-(h.r + 1) ** (h.n - c) for c in range(h.n)]
-    best: list[tuple[tuple[tuple[int, ...], ...], list[int]] | None] = [None]
-    # Relabeled edges of every leaf seen -> that leaf's vertex order.
+    # Relabeled edges of every leaf seen -> the first such leaf's vertex
+    # order; the least key is the canonical one.
     seen: dict[tuple[tuple[int, ...], ...], tuple[list[int], list[int]]] = {}
     # Automorphisms found at equal leaves, as vertex maps.
     gens: list[list[int]] = []
@@ -377,8 +371,6 @@ def canonical_form(h: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
             relabeled = tuple(
                 sorted([tuple(sorted([label[v] for v in e])) for e in edges])
             )
-            if best[0] is None or relabeled < best[0][0]:
-                best[0] = (relabeled, order)
             if relabeled not in seen:
                 seen[relabeled] = (order, path)
                 return None
@@ -430,8 +422,8 @@ def canonical_form(h: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
     for v in support:
         by_degree.setdefault(len(inc[v]), []).append(v)
     descend([by_degree[d] for d in sorted(by_degree)], [])
-    assert best[0] is not None
-    relabeled_edges, order = best[0]
+    relabeled_edges = min(seen)
+    order = seen[relabeled_edges][0]
 
     pi_list = [0] * h.n
     for p, v in enumerate(order):

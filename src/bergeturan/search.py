@@ -38,6 +38,7 @@ from math import comb
 from typing import Callable, Iterator
 
 from .berge import (
+    BergeWitness,
     contains_berge_cycle,
     contains_berge_path,
     longest_berge_path,
@@ -233,15 +234,15 @@ class SearchOutcome:
 def _check_limits(n: int, r: int, spec: FamilySpec, force: bool) -> None:
     if n < r:
         raise SearchLimitError(f"need n >= r, got n={n}, r={r}")
+    if n > CANONICAL_N_LIMIT:
+        raise SearchLimitError(
+            f"exact canonicalization is limited to n <= {CANONICAL_N_LIMIT}")
     if not force and n > default_n_limit(r, spec.multiplicity_cap):
         raise SearchLimitError(
             f"n={n} exceeds the default search limit "
             f"{default_n_limit(r, spec.multiplicity_cap)} for r={r}, "
             f"m={spec.multiplicity_cap}; pass force=True to override"
         )
-    if n > CANONICAL_N_LIMIT:
-        raise SearchLimitError(
-            f"exact canonicalization is limited to n <= {CANONICAL_N_LIMIT}")
 
 
 CHECKPOINT_VERSION = 1
@@ -384,25 +385,28 @@ class SparseSetReport:
         }
 
 
-def _sparse_preconditions(h: Hypergraph, m: int) -> tuple[str, int]:
-    """Empty string if the structural lemma's hypotheses hold; else reason.
+def _sparse_preconditions(
+    h: Hypergraph, m: int
+) -> tuple[str, int, BergeWitness | None]:
+    """(reason, t, witness): the reason is empty if the structural lemma's
+    hypotheses hold; t and witness are the longest Berge path, once found.
 
     Hypotheses: connected, n > r, multiplicity <= m, longest Berge path
     length t at most r-1 (so a forbidden length k with t < k <= r
     exists), and no Berge cycle of length exactly t.
     """
     if not is_connected(h):
-        return "hypergraph is not connected/spanning", 0
+        return "hypergraph is not connected/spanning", 0, None
     if h.n <= h.r:
-        return f"degenerate size n={h.n} <= r={h.r}", 0
+        return f"degenerate size n={h.n} <= r={h.r}", 0, None
     if h.max_multiplicity() > m:
-        return f"multiplicity {h.max_multiplicity()} exceeds cap m={m}", 0
-    t, _ = longest_berge_path(h)
+        return f"multiplicity {h.max_multiplicity()} exceeds cap m={m}", 0, None
+    t, witness = longest_berge_path(h)
     if t > h.r - 1:
-        return f"longest Berge path length t={t} exceeds r-1={h.r - 1}", t
+        return f"longest Berge path length t={t} exceeds r-1={h.r - 1}", t, witness
     if t >= 2 and contains_berge_cycle(h, t, "exact"):
-        return f"contains a Berge cycle of length t={t}", t
-    return "", t
+        return f"contains a Berge cycle of length t={t}", t, witness
+    return "", t, witness
 
 
 def _satisfies(h: Hypergraph, m: int, t: int, subset: tuple[int, ...]) -> str | None:
@@ -416,6 +420,14 @@ def _satisfies(h: Hypergraph, m: int, t: int, subset: tuple[int, ...]) -> str | 
     return None
 
 
+def _witness_report(h: Hypergraph, t: int, subset: tuple[int, ...],
+                    case: str) -> SparseSetReport:
+    return SparseSetReport(
+        "witness_found", subset, case, len(hyperedge_neighborhood(h, subset)), t,
+        exact_size_match=(case == CASE_SMALL and len(subset) == 2 * h.r - 2),
+    )
+
+
 SPARSE_SCAN_N_LIMIT = 16
 
 
@@ -426,35 +438,27 @@ def sparse_set_check(h: Hypergraph, m: int = 1) -> SparseSetReport:
 
     Preconditions are verified, never assumed; instances violating them
     get verdict precondition_violated.  A precondition-satisfying
-    instance without any such S is a counterexample to the lemma.
+    instance without any such S is a counterexample to the lemma.  The
+    witness is the first small-case subset in bitmask order, else the
+    first large-case one.
     """
     if h.n > SPARSE_SCAN_N_LIMIT:
         raise SearchLimitError(
             f"exhaustive subset scan limited to n <= {SPARSE_SCAN_N_LIMIT}; "
             "use the constructive variant for larger inputs"
         )
-    reason, t = _sparse_preconditions(h, m)
+    reason, t, _ = _sparse_preconditions(h, m)
     if reason:
         return SparseSetReport("precondition_violated", t=t, reason=reason)
-    best_small = None
-    best_large = None
+    large = None
     for subset in all_vertex_subsets(h.n, min_size=2 * h.r - 2):
-        ns = len(hyperedge_neighborhood(h, subset))
-        if ns <= m + 1 and best_small is None:
-            best_small = (subset, ns)
-        if len(subset) >= 2 * h.r - 1 and ns <= t and best_large is None:
-            best_large = (subset, ns)
-        if best_small is not None:
-            break
-    if best_small is not None:
-        subset, ns = best_small
-        return SparseSetReport(
-            "witness_found", subset, CASE_SMALL, ns, t,
-            exact_size_match=(len(subset) == 2 * h.r - 2),
-        )
-    if best_large is not None:
-        subset, ns = best_large
-        return SparseSetReport("witness_found", subset, CASE_LARGE, ns, t)
+        case = _satisfies(h, m, t, subset)
+        if case == CASE_SMALL:
+            return _witness_report(h, t, subset, case)
+        if case == CASE_LARGE and large is None:
+            large = subset
+    if large is not None:
+        return _witness_report(h, t, large, CASE_LARGE)
     return SparseSetReport("counterexample", t=t,
                            reason="no qualifying subset exists")
 
@@ -470,16 +474,13 @@ def sparse_set_constructive(h: Hypergraph, m: int = 1) -> SparseSetReport:
     sparse_set_check; a construction that fails it yields verdict
     counterexample (it would falsify the argument, not the checker).
     """
-    reason, t = _sparse_preconditions(h, m)
+    reason, t, witness = _sparse_preconditions(h, m)
     if reason:
         return SparseSetReport("precondition_violated", t=t, reason=reason)
-    _, witness = longest_berge_path(h)
     assert witness is not None and t >= 2
-    w = witness.vertices                      # w_0 .. w_t
-    g = witness.edge_instances                # g_1 .. g_t (0-indexed)
-    esets = [set(h.edges[i]) for i in g]
-    interior = list(w[1:t])                   # v_1 .. v_{t-1}
-    u_set = set(interior)
+    w = witness.vertices                      # w_0 .. w_t; v_i = w[i]
+    esets = [set(h.edges[i]) for i in witness.edge_instances]  # e_1 .. e_t
+    u_set = set(w[1:t])                       # v_1 .. v_{t-1}
 
     d1 = 1
     while d1 < t and esets[d1] == esets[0]:
@@ -488,41 +489,28 @@ def sparse_set_constructive(h: Hypergraph, m: int = 1) -> SparseSetReport:
     while d2 < t and esets[t - 1 - d2] == esets[t - 1]:
         d2 += 1
 
-    def v(idx: int) -> int:
-        # 1-based defining vertex v_idx = w[idx]
-        return w[idx]
-
-    e1_u = esets[0] & u_set
-    et_u = esets[t - 1] & u_set
-    lead_block = {v(i) for i in range(1, d1 + 1) if i <= t - 1}
-    tail_block = {v(i) for i in range(t - d2, t) if i >= 1}
-
-    if e1_u == lead_block and et_u == tail_block:
-        subset = _end_edges_set(h, w, g, esets, t, d1, d2)
+    lead_block = {w[i] for i in range(1, min(d1, t - 1) + 1)}
+    tail_block = {w[i] for i in range(max(t - d2, 1), t)}
+    if esets[0] & u_set == lead_block and esets[t - 1] & u_set == tail_block:
+        subset = _end_edges_set(w, esets, t, d1, d2)
     else:
-        subset = _recursive_set(h, w, g, esets, t)
+        subset = _recursive_set(w, esets, t)
 
     case = _satisfies(h, m, t, subset)
-    ns = len(hyperedge_neighborhood(h, subset))
     if case is None:
         return SparseSetReport(
-            "counterexample", subset, None, ns, t,
+            "counterexample", subset, None, len(hyperedge_neighborhood(h, subset)), t,
             reason="constructive set violates the neighborhood bound",
         )
-    return SparseSetReport(
-        "witness_found", subset, case, ns, t,
-        exact_size_match=(case == CASE_SMALL and len(subset) == 2 * h.r - 2),
-    )
+    return _witness_report(h, t, subset, case)
 
 
-def _end_edges_set(h, w, g, esets, t, d1, d2) -> tuple[int, ...]:
+def _end_edges_set(w, esets, t, d1, d2) -> tuple[int, ...]:
     """Both end edges minus their anchor defining vertices; if an end
     vertex reaches into the middle of the path, the defining vertex just
     before (after) the touched edge joins the set."""
-    anchor1 = w[d1]
-    anchor2 = w[t - d2]
-    w1_side = esets[0] - {anchor1}
-    w2_side = esets[t - 1] - {anchor2}
+    w1_side = esets[0] - {w[d1]}
+    w2_side = esets[t - 1] - {w[t - d2]}
     middle = range(d1 + 1, t - d2 + 1)        # 1-based edge indices
     extra: set[int] = set()
     for j in middle:
@@ -536,27 +524,20 @@ def _end_edges_set(h, w, g, esets, t, d1, d2) -> tuple[int, ...]:
     return tuple(sorted(w1_side | w2_side | extra))
 
 
-def _recursive_set(h, w, g, esets, t) -> tuple[int, ...]:
+def _recursive_set(w, esets, t) -> tuple[int, ...]:
     """Grow A from (e_1 union e_t) minus the defining vertices, walking
-    the defining vertices met by e_1 and then by e_t; whenever the next
-    edge's outside part was already absorbed, the defining vertex before
-    it joins the set instead."""
+    the defining vertices met by e_1 and then by e_t; each next edge's
+    outside part joins A, and when it already meets A the defining vertex
+    before that edge joins too."""
     u_set = set(w[1:t])
     a = (esets[0] | esets[t - 1]) - u_set
     i_list = [i for i in range(2, t) if w[i] in esets[0]]        # skip i_0 = 1
     j_list = [q + 1 for q in range(1, t) if w[q] in esets[t - 1]]
-    for i in i_list:
+    for i in i_list + j_list:
         outside = esets[i - 1] - u_set
         if outside & a:
-            a = a | outside | {w[i - 1]}
-        else:
-            a = a | outside
-    for j in j_list:
-        outside = esets[j - 1] - u_set
-        if outside & a:
-            a = a | outside | {w[j - 1]}
-        else:
-            a = a | outside
+            a.add(w[i - 1])
+        a |= outside
     return tuple(sorted(a))
 
 

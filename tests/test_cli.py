@@ -118,6 +118,15 @@ def test_exact_respects_limits(capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize("n, r", [(13, 13), (13, 3)])
+def test_exact_beyond_canonical_limit_names_it(capsys, n, r):
+    # Checked before the desk-scale default, which has no value for
+    # r >= 13 and would otherwise advise a force=True that cannot help.
+    code, out, err = run(capsys, "exact", str(n), str(r), "--bp", "4")
+    assert code == 2 and out == ""
+    assert "canonicalization is limited to n <= 12" in err
+
+
 def test_exact_stable_output_across_workers(capsys):
     _, out1, _ = run(capsys, "exact", "7", "3", "--bp", "3", "--workers", "1")
     _, out2, _ = run(capsys, "exact", "7", "3", "--bp", "3", "--workers", "2")
