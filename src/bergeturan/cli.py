@@ -176,7 +176,8 @@ def _cmd_conjecture(args) -> int:
 
 
 def _best_construction(n: int, r: int, k: int) -> int | None:
-    """Largest verified-free generator output at (n, r, k), if any."""
+    """Largest generator output at (n, r, k) that passes its own
+    ``verify_family_output`` contract, if any."""
     best = None
     for name in family_names():
         if name.startswith("multi-") or _forbidden_length(name, r, k) != k:
@@ -185,11 +186,8 @@ def _best_construction(n: int, r: int, k: int) -> int | None:
             h = make_family(name, n, r, k)
         except FamilyParamError:
             continue
-        if h.n > VERIFY_DETECTOR_N_CAP or contains_berge_path(h, k):
-            continue
-        if not is_connected(h):
-            continue
-        if best is None or h.num_edges() > best:
+        ok = h.n <= VERIFY_DETECTOR_N_CAP and verify_family_output(name, h, n, r, k).ok
+        if ok and (best is None or h.num_edges() > best):
             best = h.num_edges()
     return best
 

@@ -57,6 +57,43 @@ def _hub_block_edges(hub: int, fresh: list[int], s: int, r: int) -> list[list[in
     return edges
 
 
+def _hub_of_blocks(n: int, r: int, k: int, size: int) -> Hypergraph:
+    """Hub 0 plus blocks of fresh vertices, every edge through the hub.
+
+    With n = 1 + a*size + b (0 <= b < size): a-1 blocks of ``size``
+    fresh vertices carrying floor((k-1)/2) edges each, then one terminal
+    block of size+b fresh vertices carrying ceil((k-1)/2) edges, all
+    placed by ``_hub_block_edges``.
+    """
+    a = (n - 1) // size
+    edges: list[list[int]] = []
+    for fresh in _blocks(1, size, a - 1):
+        edges.extend(_hub_block_edges(0, fresh, (k - 1) // 2, r))
+    terminal = list(range(1 + (a - 1) * size, n))
+    edges.extend(_hub_block_edges(0, terminal, k // 2, r))
+    return Hypergraph.build(n, r, edges)
+
+
+def _with_satellites(
+    n: int, r: int, k: int, edges: list[list[int]], start: int
+) -> Hypergraph:
+    """``edges`` on vertices [0, start) plus satellites on the rest.
+
+    Each satellite is the anchors 0, 2, ..., 2(d-1), d = floor((k-1)/2),
+    together with r-d private fresh vertices, so the n-start residual
+    vertices must split into blocks of r-d.
+    """
+    d = (k - 1) // 2
+    step = r - d
+    if (n - start) % step != 0:
+        raise FamilyParamError(
+            f"residual vertices {n - start} not divisible by r - floor((k-1)/2) = {step}"
+        )
+    anchors = [2 * j for j in range(d)]  # pairwise non-adjacent on the cycle
+    sats = [anchors + blk for blk in _blocks(start, step, (n - start) // step)]
+    return Hypergraph.build(n, r, edges + sats)
+
+
 # ----------------------------------------------------------------------
 # k = 3: stars and overlapping pairs
 # ----------------------------------------------------------------------
@@ -98,15 +135,6 @@ def bp3_free_family(n: int, r: int, variant: str) -> Hypergraph:
 # k = 4: shared-core path gadget plus satellites
 # ----------------------------------------------------------------------
 
-def _bp4_base(r: int) -> tuple[list[list[int]], list[int], list[int]]:
-    core = list(range(r - 2))  # the set shared by the three gadget edges
-    v1, v2, v3, v4 = r - 2, r - 1, r, r + 1
-    e1 = core + [v1, v2]
-    e2 = core + [v2, v3]
-    e3 = core + [v3, v4]
-    return [e1, e2, e3], core, [v1, v2, v3, v4]
-
-
 def bp4_free_family(n: int, r: int, variant: str) -> Hypergraph:
     """The k = 4 families: a 3-edge shared-core path gadget plus extras.
 
@@ -119,7 +147,9 @@ def bp4_free_family(n: int, r: int, variant: str) -> Hypergraph:
     """
     if r < 4:
         raise FamilyParamError("bp4 families need r >= 4")
-    base, core, (v1, v2, v3, v4) = _bp4_base(r)
+    core = list(range(r - 2))  # the set shared by the three gadget edges
+    v1, v2, v3, v4 = r - 2, r - 1, r, r + 1
+    base = [core + [v1, v2], core + [v2, v3], core + [v3, v4]]
     if variant == "compact":
         if not (r + 2 <= n <= r + 4):
             raise FamilyParamError(
@@ -157,9 +187,10 @@ def hub_family(n: int, r: int, k: int) -> Hypergraph:
 
     With n = 1 + a*r + b (0 <= b < r, a >= 1) and n not a multiple of r:
     a-1 blocks of r fresh vertices carrying floor((k-1)/2) edges each,
-    and one block of r+b fresh vertices carrying ceil((k-1)/2) edges.
-    All edges contain the hub, so a Berge path meets at most two blocks
-    and its length is at most (k-1)/2 rounded both ways, i.e. k-1.
+    and one block of r+b fresh vertices carrying ceil((k-1)/2) edges,
+    built by ``_hub_of_blocks`` with block size r.  All edges contain
+    the hub, so a Berge path meets at most two blocks and its length is
+    at most (k-1)/2 rounded both ways, i.e. k-1.
     Edge count: floor((k-1)/2) * floor((n-1)/r) + (1 if k even else 0).
 
     The freeness argument only needs every edge to contain the hub, so
@@ -170,22 +201,9 @@ def hub_family(n: int, r: int, k: int) -> Hypergraph:
         raise FamilyParamError(f"hub family needs 5 <= k <= r+1, got k={k}, r={r}")
     if n % r == 0:
         raise FamilyParamError(f"hub family undefined when r | n (n={n}, r={r})")
-    a, b = divmod(n - 1, r)
-    if a < 1:
+    if n < r + 1:
         raise FamilyParamError(f"need n >= r+1, got n={n}")
-    lo = (k - 1) // 2
-    hi = k // 2  # ceil((k-1)/2)
-    edges: list[list[int]] = []
-    cursor = 1
-    for _ in range(a - 1):
-        fresh = list(range(cursor, cursor + r))
-        cursor += r
-        edges.extend(_hub_block_edges(0, fresh, lo, r))
-    fresh = list(range(cursor, cursor + r + b))
-    cursor += r + b
-    edges.extend(_hub_block_edges(0, fresh, hi, r))
-    assert cursor == n
-    return Hypergraph.build(n, r, edges)
+    return _hub_of_blocks(n, r, k, r)
 
 
 def cycle_satellite_family(n: int, r: int, k: int) -> Hypergraph:
@@ -204,26 +222,12 @@ def cycle_satellite_family(n: int, r: int, k: int) -> Hypergraph:
             f"cycle satellite family needs 5 <= k <= r, got k={k}, r={r}"
         )
     m = k - 1  # cycle length
-    d = (k - 1) // 2
     gadget = m * (r - 1)  # m cycle vertices + m*(r-2) private fillers
     if n < gadget:
         raise FamilyParamError(f"need n >= {gadget} to host the cycle gadget")
-    step = r - d
-    if (n - gadget) % step != 0:
-        raise FamilyParamError(
-            f"residual vertices {n - gadget} not divisible by r - floor((k-1)/2) = {step}"
-        )
-    edges = []
-    cursor = m
-    for i in range(m):
-        fillers = list(range(cursor, cursor + r - 2))
-        cursor += r - 2
-        edges.append([i, (i + 1) % m] + fillers)
-    anchors = [2 * j for j in range(d)]  # pairwise non-adjacent on the cycle
-    count = (n - gadget) // step
-    for blk in _blocks(cursor, step, count):
-        edges.append(anchors + blk)
-    return Hypergraph.build(n, r, edges)
+    edges = [[i, (i + 1) % m] + fillers
+             for i, fillers in enumerate(_blocks(m, r - 2, m))]
+    return _with_satellites(n, r, k, edges, gadget)
 
 
 # ----------------------------------------------------------------------
@@ -273,21 +277,20 @@ def multi_family(n: int, r: int, k: int, variant: str) -> Hypergraph:
     a-1 hub edges of multiplicity floor((k-1)/2) on r-1 private fresh
     vertices each, plus one block of r-1+b fresh vertices carrying
     ceil((k-1)/2) edge instances: distinct edges when b > 0, one edge of
-    that multiplicity when b = 0.  Instance count:
+    that multiplicity when b = 0.  Built by ``_hub_of_blocks`` with block
+    size r-1, the same builder as ``hub_family``.  Instance count:
     floor((n-1)/(r-1)) * floor((k-1)/2) + (1 if k even else 0).
 
     variant "cycle": one vertex set of size r with multiplicity k-1
     (realizing a Berge cycle of length k-1), plus satellites through
-    floor((k-1)/2) of its vertices when n > r.  As with
-    cycle_satellite_family, any satellite creates a Berge path of
-    length k; only n = r is genuinely free.
+    floor((k-1)/2) of its vertices when n > r, placed by
+    ``_with_satellites`` as in cycle_satellite_family.  Any satellite
+    creates a Berge path of length k; only n = r is genuinely free.
     """
     if not (3 <= k <= r):
         raise FamilyParamError(f"multi families need 3 <= k <= r, got k={k}, r={r}")
     if n < r:
         raise FamilyParamError(f"need n >= r, got n={n}")
-    lo = (k - 1) // 2
-    hi = k // 2
     if variant == "star":
         a, b = divmod(n - 1, r - 1)
         if a < 2:
@@ -296,34 +299,15 @@ def multi_family(n: int, r: int, k: int, variant: str) -> Hypergraph:
             raise FamilyParamError(
                 f"multi star undefined when (r-1) | n (n={n}, r={r})"
             )
+        hi = k // 2
         if hi * (r - 1) < r - 1 + b:
             raise FamilyParamError(
                 f"terminal block of {r - 1 + b} fresh vertices not coverable by "
                 f"{hi} edges (k={k} too small for b={b})"
             )
-        edges: list[list[int]] = []
-        cursor = 1
-        for _ in range(a - 1):
-            fresh = list(range(cursor, cursor + r - 1))
-            cursor += r - 1
-            edges.extend([[0] + fresh] * lo)
-        fresh = list(range(cursor, cursor + r - 1 + b))
-        cursor += r - 1 + b
-        edges.extend(_hub_block_edges(0, fresh, hi, r))
-        assert cursor == n
-        return Hypergraph.build(n, r, edges)
+        return _hub_of_blocks(n, r, k, r - 1)
     if variant == "cycle":
-        d = lo
-        step = r - d
-        if (n - r) % step != 0:
-            raise FamilyParamError(
-                f"residual vertices {n - r} not divisible by r - floor((k-1)/2) = {step}"
-            )
-        edges = [list(range(r))] * (k - 1)
-        anchors = [2 * j for j in range(d)]
-        count = (n - r) // step
-        edges = edges + [anchors + blk for blk in _blocks(r, step, count)]
-        return Hypergraph.build(n, r, edges)
+        return _with_satellites(n, r, k, [list(range(r))] * (k - 1), r)
     raise FamilyParamError(f"unknown multi variant {variant!r}")
 
 
@@ -335,7 +319,6 @@ def multi_family(n: int, r: int, k: int, variant: str) -> Hypergraph:
 class FamilyInfo:
     """How to build a family member and what its contract promises."""
 
-    name: str
     forbidden: object  # (r, k) -> the path length members avoid; None: k is required
     builder: object
     expected_count: object  # (n, r, k) -> int
@@ -345,7 +328,7 @@ _FAMILIES: dict[str, FamilyInfo] = {}
 
 
 def _register(name: str, forbidden, builder, expected_count) -> None:
-    _FAMILIES[name] = FamilyInfo(name, forbidden, builder, expected_count)
+    _FAMILIES[name] = FamilyInfo(forbidden, builder, expected_count)
 
 
 _register(

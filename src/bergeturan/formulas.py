@@ -61,10 +61,6 @@ class FormulaResult:
         return obj
 
 
-def _frac(a: int, b: int = 1) -> Fraction:
-    return Fraction(a, b)
-
-
 class FormulaRangeError(ValueError):
     """Raised when a selector is evaluated outside its stated range."""
 
@@ -86,7 +82,7 @@ def conn_bp_value(n: int, r: int, k: int) -> FormulaResult:
     if k == 2:
         # A second edge would already give a Berge path of length 2.
         if n == r:
-            return FormulaResult(_frac(1), "exact", "bp2")
+            return FormulaResult(Fraction(1), "exact", "bp2")
         return FormulaResult(None, "undefined", "bp2",
                              "no connected spanning BP_2-free hypergraph for n > r")
 
@@ -100,26 +96,16 @@ def conn_bp_value(n: int, r: int, k: int) -> FormulaResult:
         return _hub_range_value(n, r, k)
 
     if k == r + 1:
-        return FormulaResult(_frac(n - r + 1), "exact_for_large_n", "sunflower")
+        return FormulaResult(Fraction(n - r + 1), "exact_for_large_n", "sunflower")
 
     if r + 2 <= k <= 2 * r - 1:
-        val = _frac(n - (k - 2) + comb(k - 2, r))
+        val = Fraction(n - (k - 2) + comb(k - 2, r))
         return FormulaResult(val, "conjectured", "clique_pendants")
 
     if k >= 2 * r + 13 and k >= 18:
-        q = (k - 1) // 2
-        val = _frac(
-            comb(q, r - 1) * (n - q)
-            + comb(q, r)
-            + (comb(q, r - 2) if k % 2 == 0 else 0)
-        )
-        return FormulaResult(val, "exact_for_large_n", "gsz21")
+        return FormulaResult(_gsz21_value(n, r, k), "exact_for_large_n", "gsz21")
 
-    applicable = []
-    if k > r + 1:
-        applicable.append("gkl_large")
-    if k >= 4 * r >= 12 and n >= k:
-        applicable.append("fkl_conn")
+    applicable = [b.source for b in applicable_bounds(n, r, k)]
     note = "no closed form in this range"
     if applicable:
         note += "; applicable upper bounds: " + ", ".join(applicable)
@@ -135,7 +121,7 @@ def _graph_case(n: int, k: int) -> FormulaResult:
         return FormulaResult(_kopylov_value(n, k), "exact", "kopylov")
     if k == 2:
         if n == 2:
-            return FormulaResult(_frac(1), "exact", "bp2")
+            return FormulaResult(Fraction(1), "exact", "bp2")
         return FormulaResult(None, "undefined", "bp2",
                              "no connected spanning P_2-free graph for n > 2")
     return FormulaResult(None, "undefined", "none",
@@ -146,14 +132,23 @@ def _kopylov_value(n: int, k: int) -> Fraction:
     t1 = comb(k - 1, 2) + (n - k + 1)
     half_up = (k + 1 + 1) // 2  # ceil((k+1)/2)
     t2 = comb(half_up, 2) + ((k - 1) // 2) * (n - half_up)
-    return _frac(max(t1, t2))
+    return Fraction(max(t1, t2))
+
+
+def _gsz21_value(n: int, r: int, k: int) -> Fraction:
+    """C(q, r-1)*(n-q) + C(q, r) + [2|k]*C(q, r-2), q = floor((k-1)/2)."""
+    q = (k - 1) // 2
+    return Fraction(
+        comb(q, r - 1) * (n - q) + comb(q, r)
+        + (comb(q, r - 2) if k % 2 == 0 else 0)
+    )
 
 
 def _bp3_value(n: int, r: int) -> FormulaResult:
     if n <= 2 * r - 2:
-        return FormulaResult(_frac(2), "exact", "bp3_pair")
+        return FormulaResult(Fraction(2), "exact", "bp3_pair")
     if (n - 1) % (r - 1) == 0:
-        return FormulaResult(_frac((n - 1) // (r - 1)), "exact", "bp3_star")
+        return FormulaResult(Fraction((n - 1) // (r - 1)), "exact", "bp3_star")
     return FormulaResult(None, "undefined", "bp3_star",
                          "no connected spanning BP_3-free hypergraph: "
                          f"(r-1) = {r - 1} does not divide (n-1) = {n - 1}")
@@ -168,7 +163,7 @@ BP4_SMALL_REFUTED = (
 
 def _bp4_value(n: int, r: int) -> FormulaResult:
     if n <= r + 4:
-        return FormulaResult(_frac(4), "exact", "bp4_small",
+        return FormulaResult(Fraction(4), "exact", "bp4_small",
                              refuted=BP4_SMALL_REFUTED)
     b1 = Fraction(n - 5, r - 1) + 3
     b2 = Fraction(n - 4, r - 2) + 2
@@ -187,7 +182,7 @@ def _hub_range_value(n: int, r: int, k: int) -> FormulaResult:
     if n % r == 0:
         return FormulaResult(None, "undefined", "hub",
                              "value not determined when r | n")
-    val = _frac(((k - 1) // 2) * ((n - 1) // r) + (1 if k % 2 == 0 else 0))
+    val = Fraction(((k - 1) // 2) * ((n - 1) // r) + (1 if k % 2 == 0 else 0))
     return FormulaResult(val, "exact_for_large_n", "hub")
 
 
@@ -211,7 +206,7 @@ def classical_bound(selector: str, n: int, r: int, k: int) -> FormulaResult:
     if selector == "kostochka_luo":
         if not (3 <= k <= r):
             raise FormulaRangeError(f"kostochka_luo needs 3 <= k <= r, got k={k}, r={r}")
-        val = max(_frac(k - 1), Fraction(k * n, 2 * r - k + 4))
+        val = max(Fraction(k - 1), Fraction(k * n, 2 * r - k + 4))
         return FormulaResult(val, "upper_bound", "kostochka_luo")
     if selector == "gkl_small":
         if not (2 < k <= r):
@@ -224,7 +219,7 @@ def classical_bound(selector: str, n: int, r: int, k: int) -> FormulaResult:
     if selector == "dgmt":
         if k != r + 1:
             raise FormulaRangeError(f"dgmt needs k = r+1, got k={k}, r={r}")
-        return FormulaResult(_frac(n), "upper_bound", "dgmt")
+        return FormulaResult(Fraction(n), "upper_bound", "dgmt")
     if selector == "kopylov":
         if r != 2 or not (n >= k >= 4):
             raise FormulaRangeError(
@@ -237,7 +232,7 @@ def classical_bound(selector: str, n: int, r: int, k: int) -> FormulaResult:
                 f"fkl_conn needs n >= k >= 4r >= 12, got {(n, r, k)}"
             )
         half_up = (k + 1 + 1) // 2
-        val = _frac(
+        val = Fraction(
             comb(half_up, r) + (n - half_up) * comb((k - 1) // 2, r - 1)
         )
         return FormulaResult(val, "upper_bound", "fkl_conn",
@@ -245,12 +240,7 @@ def classical_bound(selector: str, n: int, r: int, k: int) -> FormulaResult:
     if selector == "gsz21":
         if not (k >= 2 * r + 13 and k >= 18):
             raise FormulaRangeError(f"gsz21 needs k >= 2r+13 >= 18, got k={k}, r={r}")
-        q = (k - 1) // 2
-        val = _frac(
-            comb(q, r - 1) * (n - q) + comb(q, r)
-            + (comb(q, r - 2) if k % 2 == 0 else 0)
-        )
-        return FormulaResult(val, "upper_bound", "gsz21",
+        return FormulaResult(_gsz21_value(n, r, k), "upper_bound", "gsz21",
                              "exact for sufficiently large n")
     raise FormulaRangeError(f"unknown classical bound selector {selector!r}")
 
@@ -276,13 +266,13 @@ def bc_value(selector: str, n: int, r: int, k: int) -> FormulaResult:
     if selector == "glsz_small":
         if not (r > k >= 3):
             raise FormulaRangeError(f"glsz_small needs r > k >= 3, got k={k}, r={r}")
-        val = _frac((k - 1) * ((n - 1) // r) + (1 if n % r == 0 else 0))
+        val = Fraction((k - 1) * ((n - 1) // r) + (1 if n % r == 0 else 0))
         return FormulaResult(val, "exact", "glsz_small")
     if selector == "glsz_eq":
         if not (k == r and r >= 3):
             raise FormulaRangeError(f"glsz_eq needs k = r >= 3, got k={k}, r={r}")
-        branch_a = _frac((r - 1) * ((n - 1) // r))
-        branch_b = _frac(n - r + 1)
+        branch_a = Fraction((r - 1) * ((n - 1) // r))
+        branch_b = Fraction(n - r + 1)
         winner = "partition" if branch_a > branch_b else (
             "sunflower" if branch_b > branch_a else "tie")
         return FormulaResult(max(branch_a, branch_b), "exact", "glsz_eq",
@@ -290,11 +280,11 @@ def bc_value(selector: str, n: int, r: int, k: int) -> FormulaResult:
     if selector == "multi":
         if not (2 <= k <= r):
             raise FormulaRangeError(f"multi needs 2 <= k <= r, got k={k}, r={r}")
-        return FormulaResult(_frac((k - 1) * ((n - 1) // (r - 1))),
+        return FormulaResult(Fraction((k - 1) * ((n - 1) // (r - 1))),
                              "upper_bound", "multi")
     if selector == "egmstz":
         if k == r + 1 and k >= 4:
-            return FormulaResult(_frac(n - 1), "upper_bound", "egmstz")
+            return FormulaResult(Fraction(n - 1), "upper_bound", "egmstz")
         if k == r + 2 and k >= 4:
             return FormulaResult(Fraction((n - 1) * (r + 1), r),
                                  "upper_bound", "egmstz")

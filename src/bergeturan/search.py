@@ -232,6 +232,8 @@ class SearchOutcome:
 
 
 def _check_limits(n: int, r: int, spec: FamilySpec, force: bool) -> None:
+    if r < 2:
+        raise SearchLimitError(f"r must be >= 2, got r={r}")
     if n < r:
         raise SearchLimitError(f"need n >= r, got n={n}, r={r}")
     if n > CANONICAL_N_LIMIT:
@@ -292,6 +294,8 @@ def exact_ex_conn(
     which would give it a meaning again.
     """
     _check_limits(n, r, spec, force)
+    if witness_cap < 0:
+        raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
     t0 = time.perf_counter()
     best_level, best_keys = None, []
     start = None

@@ -127,6 +127,13 @@ def test_exact_beyond_canonical_limit_names_it(capsys, n, r):
     assert "canonicalization is limited to n <= 12" in err
 
 
+@pytest.mark.parametrize("argv", [("5", "1", "--bp", "2"), ("3", "0", "--bp", "1")])
+def test_exact_rejects_r_below_two(capsys, argv):
+    code, out, err = run(capsys, "exact", *argv)
+    assert code == 2 and out == ""
+    assert "r must be >= 2" in err
+
+
 def test_exact_stable_output_across_workers(capsys):
     _, out1, _ = run(capsys, "exact", "7", "3", "--bp", "3", "--workers", "1")
     _, out2, _ = run(capsys, "exact", "7", "3", "--bp", "3", "--workers", "2")

@@ -300,3 +300,28 @@ def test_star_count_matches_formula_oracle():
             if res.regime == "exact" and n >= 2 * r - 1:
                 h = bp3_free_family(n, r, "star")
                 assert h.num_edges() == res.value
+
+
+def test_every_member_edge_list_is_pinned():
+    # The bench golden file pins verdicts only; this digest pins every
+    # edge of every member on a small grid, so moving a block or a
+    # satellite anchor shows here even when no verdict changes.
+    from hashlib import sha256
+
+    from bergeturan.constructions import family_names
+
+    text, members = "", 0
+    for name in family_names():
+        for r in range(3, 6):
+            for k in range(3, 2 * r + 1):
+                for n in range(r, 15):
+                    try:
+                        h = make_family(name, n, r, k)
+                    except FamilyParamError:
+                        continue
+                    text += f"{name} {n} {r} {k}\n" + h.to_text()
+                    members += 1
+    assert members == 527
+    assert sha256(text.encode()).hexdigest() == (
+        "3559b8140f2fa3af596772517200cad003da9f1665c4a8209bbe15721c67b5a4"
+    )

@@ -240,3 +240,32 @@ def test_json_rendering():
     obj = classical_bound("kostochka_luo", 16, 5, 5).to_json_obj()
     assert obj["value"] == "80/9"
     assert conn_bp_value(6, 3, 3).to_json_obj()["value"] == "undefined"
+
+
+def test_every_value_and_bound_is_pinned():
+    # One digest over the dispatcher on a grid and every selector of both
+    # interfaces, range errors included.
+    from hashlib import sha256
+
+    from bergeturan.formulas import BC_SELECTORS, CLASSICAL_SELECTORS
+
+    lines = []
+    for r in range(2, 9):
+        for n in range(r, 41):
+            for k in range(2, 41):
+                res = conn_bp_value(n, r, k)
+                lines.append(
+                    f"{n} {r} {k} {sorted(res.to_json_obj().items())!r} {res.refuted}"
+                )
+                for fn, selectors in ((classical_bound, CLASSICAL_SELECTORS),
+                                      (bc_value, BC_SELECTORS)):
+                    for sel in selectors:
+                        try:
+                            obj = fn(sel, n, r, k).to_json_obj()
+                            lines.append(f"{sel} {sorted(obj.items())!r}")
+                        except FormulaRangeError as exc:
+                            lines.append(f"{sel} {exc}")
+    assert len(lines) == 127764
+    assert sha256("\n".join(lines).encode()).hexdigest() == (
+        "ae465a89155424f46b6fcef21848d5e4d85b14c5fcd5e74ccc59957417326167"
+    )

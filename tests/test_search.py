@@ -354,6 +354,9 @@ def test_witness_cap():
     out = exact_ex_conn(8, 4, FamilySpec("bp", 4), witness_cap=2)
     assert len(out.witnesses) == 2
     assert out.extremal_class_count == 6
+    assert exact_ex_conn(7, 3, FamilySpec("bp", 3), witness_cap=0).witnesses == []
+    with pytest.raises(ValueError, match="witness_cap"):
+        exact_ex_conn(7, 3, FamilySpec("bp", 3), witness_cap=-1)
 
 
 # -- population enumeration --------------------------------------------------
