@@ -278,6 +278,26 @@ def _bounds(
     return (k if mode == "exact" else cap), k, cap
 
 
+def _counts(found: tuple | None, k: int, close_from: int) -> bool:
+    """A walk result is a witness when a cycle closed or a path has k instances."""
+    return found is not None and (close_from > 0 or len(found[1]) == k)
+
+
+def _contains(
+    h: Hypergraph, k: int, mode: str | None, want_witness: bool
+) -> bool | tuple[bool, BergeWitness | None]:
+    """The decision behind both public queries; ``mode`` as in ``_bounds``."""
+    most, close_from, cap = _bounds(k, mode, len(h.edges), h.n)
+    witness = None
+    if k <= cap:
+        found = _walk(_pair_index(h), most, close_from)
+        if _counts(found, k, close_from):
+            witness = BergeWitness("cycle" if close_from else "path", *found)
+    if want_witness:
+        return (witness is not None), witness
+    return witness is not None
+
+
 # ----------------------------------------------------------------------
 # Public queries
 # ----------------------------------------------------------------------
@@ -286,15 +306,7 @@ def contains_berge_path(
     h: Hypergraph, k: int, want_witness: bool = False
 ) -> bool | tuple[bool, BergeWitness | None]:
     """Exact decision for a Berge path of length k (k >= 1)."""
-    most, _, cap = _bounds(k, None, len(h.edges), h.n)
-    witness = None
-    if k <= cap:
-        found = _walk(_pair_index(h), most)
-        if found is not None and len(found[0]) == k + 1:
-            witness = BergeWitness("path", *found)
-    if want_witness:
-        return (witness is not None), witness
-    return witness is not None
+    return _contains(h, k, None, want_witness)
 
 
 def longest_berge_path(h: Hypergraph) -> tuple[int, BergeWitness | None]:
@@ -318,15 +330,7 @@ def contains_berge_cycle(
     mode "exact": a cycle of length exactly k; mode "at_least": any
     length >= k.  Requires k >= 2.
     """
-    most, close_from, cap = _bounds(k, mode, len(h.edges), h.n)
-    witness = None
-    if k <= cap:
-        found = _walk(_pair_index(h), most, close_from)
-        if found is not None:
-            witness = BergeWitness("cycle", *found)
-    if want_witness:
-        return (witness is not None), witness
-    return witness is not None
+    return _contains(h, k, mode, want_witness)
 
 
 def new_edge_detector(
@@ -356,8 +360,7 @@ def new_edge_detector(
     def through(pair: tuple[int, int]) -> bool:
         hit = answers.get(pair)
         if hit is None:
-            found = _walk(index, most, close_from, (pair, inst))
-            hit = found is not None and (close_from > 0 or len(found[1]) == k)
+            hit = _counts(_walk(index, most, close_from, (pair, inst)), k, close_from)
             answers[pair] = hit
         return hit
 

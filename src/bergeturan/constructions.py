@@ -103,7 +103,8 @@ def bp3_free_family(n: int, r: int, variant: str) -> Hypergraph:
 
     variant "star": (n-1)/(r-1) edges sharing exactly the hub vertex;
     requires n >= 2r-1 and (r-1) | (n-1) (outside the divisibility there
-    is no such spanning hypergraph at all).
+    is no such spanning hypergraph at all).  Built by ``_hub_of_blocks``
+    with k = 3 and block size r-1: one edge per block.
     variant "double_edge": two r-edges overlapping in 2r-n >= 2 vertices;
     requires r+1 <= n <= 2r-2.
     """
@@ -116,9 +117,7 @@ def bp3_free_family(n: int, r: int, variant: str) -> Hypergraph:
             raise FamilyParamError(
                 f"star needs (r-1) | (n-1); {r - 1} does not divide {n - 1}"
             )
-        count = (n - 1) // (r - 1)
-        edges = [[0] + blk for blk in _blocks(1, r - 1, count)]
-        return Hypergraph.build(n, r, edges)
+        return _hub_of_blocks(n, r, 3, r - 1)
     if variant == "double_edge":
         if not (r + 1 <= n <= 2 * r - 2):
             raise FamilyParamError(
@@ -236,12 +235,11 @@ def cycle_satellite_family(n: int, r: int, k: int) -> Hypergraph:
 
 def sunflower_family(n: int, r: int) -> Hypergraph:
     """All edges share a common (r-1)-core: n-r+1 edges, no Berge path of
-    length r+1 (interior path vertices must lie in the core)."""
+    length r+1 (interior path vertices must lie in the core).  This is
+    ``clique_pendant_family`` at k = r+1, whose clique is empty."""
     if n < r + 1:
         raise FamilyParamError(f"sunflower needs n >= r+1, got n={n}, r={r}")
-    core = list(range(r - 1))
-    edges = [core + [v] for v in range(r - 1, n)]
-    return Hypergraph.build(n, r, edges)
+    return clique_pendant_family(n, r, r + 1)
 
 
 def clique_pendant_family(n: int, r: int, k: int) -> Hypergraph:

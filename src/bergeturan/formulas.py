@@ -65,6 +65,11 @@ class FormulaRangeError(ValueError):
     """Raised when a selector is evaluated outside its stated range."""
 
 
+def _need_uniformity(r: int) -> None:
+    if r < 2:
+        raise FormulaRangeError(f"need r >= 2, got r={r}")
+
+
 # ----------------------------------------------------------------------
 # Main dispatcher: connected Turan numbers for Berge paths
 # ----------------------------------------------------------------------
@@ -203,6 +208,7 @@ def classical_bound(selector: str, n: int, r: int, k: int) -> FormulaResult:
     gsz21         : C(q, r-1)*(n-q) + C(q, r) + [2|k]*C(q, r-2), q = floor((k-1)/2),
                     connected, k >= 2r+13 >= 18, large n
     """
+    _need_uniformity(r)
     if selector == "kostochka_luo":
         if not (3 <= k <= r):
             raise FormulaRangeError(f"kostochka_luo needs 3 <= k <= r, got k={k}, r={r}")
@@ -263,6 +269,7 @@ def bc_value(selector: str, n: int, r: int, k: int) -> FormulaResult:
     egmstz     : n-1 for k = r+1; (n-1)(r+1)/r for k = r+2 (k >= 4)
     fkl_cycle  : ((n-1)/(k-2))*C(k-1, r), k >= r+3 >= 6
     """
+    _need_uniformity(r)
     if selector == "glsz_small":
         if not (r > k >= 3):
             raise FormulaRangeError(f"glsz_small needs r > k >= 3, got k={k}, r={r}")
@@ -304,6 +311,7 @@ BC_SELECTORS = ("glsz_small", "glsz_eq", "multi", "egmstz", "fkl_cycle")
 
 def applicable_bounds(n: int, r: int, k: int) -> list[FormulaResult]:
     """All classical path bounds whose preconditions hold at (n, r, k)."""
+    _need_uniformity(r)
     out = []
     for sel in CLASSICAL_SELECTORS:
         try:

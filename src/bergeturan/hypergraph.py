@@ -51,13 +51,12 @@ class Hypergraph:
     encode multiplicity.  Instance ids are positions in ``edges``.
     """
 
-    __slots__ = ("n", "r", "edges", "_canon")
+    __slots__ = ("n", "r", "edges")
 
     def __init__(self, n: int, r: int, edges: tuple[tuple[int, ...], ...]):
         self.n = n
         self.r = r
         self.edges = edges
-        self._canon: tuple[bytes, tuple[int, ...]] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -329,8 +328,6 @@ def canonical_form(h: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
     multi-hypergraphs.  Deterministic.  Raises CanonicalSizeError above
     ``CANONICAL_N_LIMIT`` vertices.
     """
-    if h._canon is not None:
-        return h._canon
     if h.n > CANONICAL_N_LIMIT:
         raise CanonicalSizeError(
             f"exact canonicalization limited to n <= {CANONICAL_N_LIMIT}, "
@@ -425,15 +422,11 @@ def canonical_form(h: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
     relabeled_edges = min(seen)
     order = seen[relabeled_edges][0]
 
+    # ``order`` holds the support, so isolated vertices take the last labels.
     pi_list = [0] * h.n
-    for p, v in enumerate(order):
+    for p, v in enumerate(order + isolated):
         pi_list[v] = p
-    for offset, v in enumerate(isolated):
-        pi_list[v] = len(support) + offset
-    pi = tuple(pi_list)
-    code = _encode(h.n, h.r, relabeled_edges)
-    h._canon = (code, pi)
-    return h._canon
+    return _encode(h.n, h.r, relabeled_edges), tuple(pi_list)
 
 
 def _encode(n: int, r: int, relabeled_edges: tuple[tuple[int, ...], ...]) -> bytes:
@@ -458,12 +451,7 @@ def from_canonical_string(s: str | bytes) -> Hypergraph:
 
 def relabel(h: Hypergraph, pi: dict[int, int] | tuple[int, ...]) -> Hypergraph:
     """Apply a vertex permutation (old -> new) to all instances."""
-    if isinstance(pi, dict):
-        mapping = pi
-    else:
-        mapping = {v: pi[v] for v in range(h.n)}
-    edges = [tuple(sorted(mapping[v] for v in e)) for e in h.edges]
-    return Hypergraph.build(h.n, h.r, edges)
+    return Hypergraph.build(h.n, h.r, [[pi[v] for v in e] for e in h.edges])
 
 
 def canonical_relabeled(h: Hypergraph) -> Hypergraph:

@@ -107,6 +107,10 @@ class FamilySpec:
 
 def default_n_limit(r: int, multiplicity_cap: int = 1) -> int:
     """Desk-scale defaults; larger parameters require force=True."""
+    if r > CANONICAL_N_LIMIT:
+        raise SearchLimitError(
+            f"r={r} needs n >= r, but exact canonicalization is limited to "
+            f"n <= {CANONICAL_N_LIMIT}")
     base = {2: 12, 3: 9, 4: 8}.get(r)
     if base is None:
         base = max(n for n in range(r, 13) if comb(n, r) <= 130)
@@ -138,8 +142,6 @@ def _levels(
     parent and the node budget after it, so both hold inside a level and
     the search stops at most one parent's candidates past the node budget.
     """
-    if n < 1:
-        raise SearchLimitError("need n >= 1")
     candidates = list(itertools.combinations(range(n), r))
     deadline = None if time_budget is None else time.monotonic() + time_budget
     if start is None:
@@ -178,7 +180,7 @@ def _levels(
                 )
             if not feasible:
                 continue
-            closure = Hypergraph(n, r, parent.edges + tuple(sorted(set(feasible_edges))))
+            closure = Hypergraph(n, r, parent.edges + tuple(feasible_edges))
             if not is_connected(closure):
                 # No superset of this representative can connect and span.
                 continue

@@ -192,6 +192,12 @@ def test_sunflower_smallest_case():
     assert len(set(h.edges[0]) & set(h.edges[1])) == 2
 
 
+def test_sunflower_rejects_r_below_two():
+    for n, r in [(3, 1), (2, 0)]:
+        with pytest.raises(ValueError):
+            sunflower_family(n, r)
+
+
 def test_sunflower_grid_is_bp_r_plus_1_free():
     for r in (3, 4, 5):
         for n in range(r + 1, r + 7):

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from bergeturan.formulas import (
+    BC_SELECTORS,
     BP4_SMALL_REFUTED,
+    CLASSICAL_SELECTORS,
     FormulaRangeError,
     applicable_bounds,
     bc_value,
@@ -205,6 +207,21 @@ def test_bc_selector_ranges():
         bc_value("glsz_eq", 9, 4, 3)
     with pytest.raises(FormulaRangeError):
         bc_value("egmstz", 9, 4, 4)
+
+
+def test_uniformity_below_two_is_out_of_range():
+    # Without the check these raised a bare ValueError from math.comb.
+    with pytest.raises(FormulaRangeError):
+        applicable_bounds(40, 1, 20)
+    with pytest.raises(FormulaRangeError):
+        classical_bound("gsz21", 40, 0, 20)
+    for r in (1, 0, -1):
+        for sel in CLASSICAL_SELECTORS:
+            with pytest.raises(FormulaRangeError):
+                classical_bound(sel, 40, r, 20)
+        for sel in BC_SELECTORS:
+            with pytest.raises(FormulaRangeError):
+                bc_value(sel, 40, r, 6)
 
 
 # -- cross-oracle invariants -------------------------------------------------

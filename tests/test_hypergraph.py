@@ -159,6 +159,17 @@ def test_canonical_invariant_under_relabeling():
         assert canonical_key(h) == canonical_key(g)
 
 
+def test_relabel_takes_a_tuple_or_the_equivalent_dict():
+    rng = random.Random(17)
+    for _ in range(300):
+        r = rng.randrange(2, 5)
+        n = rng.randrange(r, 9)
+        h = build(n, r, _random_edges(rng, n, r, 8))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert relabel(h, tuple(perm)) == relabel(h, dict(enumerate(perm))), h
+
+
 def test_canonical_separates_star_and_loose_path():
     assert canonical_key(build(7, 3, STAR73)) != canonical_key(build(7, 3, LOOSE_PATH))
 
@@ -437,7 +448,7 @@ def _random_multi_corpus():
 
 
 def _fresh(h):
-    """An uncached copy, so canonical_form really runs."""
+    """A copy built with the bare constructor, not through ``build``."""
     return Hypergraph(h.n, h.r, h.edges)
 
 

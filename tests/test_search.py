@@ -269,6 +269,12 @@ def test_default_limits_enforced():
         exact_ex_conn(2, 3, FamilySpec("bp", 3))
 
 
+def test_default_limit_past_the_canonical_limit():
+    # n >= r > 12 is beyond exact canonicalization, so there is no limit.
+    with pytest.raises(SearchLimitError, match="n <= 12"):
+        default_n_limit(13)
+
+
 def test_node_budget():
     with pytest.raises(SearchLimitError):
         exact_ex_conn(7, 3, FamilySpec("bp", 3), node_budget=10)
