@@ -39,7 +39,7 @@ witness the least one that starts at its minimum vertex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .hypergraph import Hypergraph
@@ -52,11 +52,7 @@ class BergeWitness:
     edge_instances: tuple[int, ...]
 
     def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "vertices": list(self.vertices),
-            "edge_instances": list(self.edge_instances),
-        }
+        return asdict(self)
 
 
 def verify_witness(h: Hypergraph, w: BergeWitness) -> bool:
@@ -330,6 +326,8 @@ def contains_berge_cycle(
     mode "exact": a cycle of length exactly k; mode "at_least": any
     length >= k.  Requires k >= 2.
     """
+    if mode is None:  # ``_bounds`` would read it as a path query
+        raise ValueError("unknown cycle mode None")
     return _contains(h, k, mode, want_witness)
 
 

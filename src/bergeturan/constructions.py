@@ -15,10 +15,10 @@ suite for the explicit witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass
 
 from .berge import contains_berge_path
+from .formulas import _clique_pendant_count, _hub_count
 from .hypergraph import Hypergraph, is_connected
 
 
@@ -92,6 +92,12 @@ def _with_satellites(
     anchors = [2 * j for j in range(d)]  # pairwise non-adjacent on the cycle
     sats = [anchors + blk for blk in _blocks(start, step, (n - start) // step)]
     return Hypergraph.build(n, r, edges + sats)
+
+
+def _satellite_count(n: int, r: int, k: int, start: int) -> int:
+    """Edges of a ``_with_satellites`` member whose ``edges`` are the k-1
+    instances of a Berge cycle: those plus one satellite per block."""
+    return (k - 1) + (n - start) // (r - (k - 1) // 2)
 
 
 # ----------------------------------------------------------------------
@@ -331,58 +337,58 @@ def _register(name: str, forbidden, builder, expected_count) -> None:
 
 _register(
     "star", lambda r, k: 3,
-    lambda n, r, k=None: bp3_free_family(n, r, "star"),
-    lambda n, r, k: (n - 1) // (r - 1),
+    lambda n, r, k: bp3_free_family(n, r, "star"),
+    lambda n, r, k: _hub_count(n, 3, r - 1),
 )
 _register(
     "double-edge", lambda r, k: 3,
-    lambda n, r, k=None: bp3_free_family(n, r, "double_edge"),
+    lambda n, r, k: bp3_free_family(n, r, "double_edge"),
     lambda n, r, k: 2,
 )
 _register(
     "bp4-compact", lambda r, k: 4,
-    lambda n, r, k=None: bp4_free_family(n, r, "compact"),
+    lambda n, r, k: bp4_free_family(n, r, "compact"),
     lambda n, r, k: 4,
 )
 _register(
     "bp4-pair-hub", lambda r, k: 4,
-    lambda n, r, k=None: bp4_free_family(n, r, "pair_hub"),
+    lambda n, r, k: bp4_free_family(n, r, "pair_hub"),
     lambda n, r, k: (n - 4) // (r - 2) + 2,
 )
 _register(
     "bp4-point-hub", lambda r, k: 4,
-    lambda n, r, k=None: bp4_free_family(n, r, "point_hub"),
+    lambda n, r, k: bp4_free_family(n, r, "point_hub"),
     lambda n, r, k: (n - 5) // (r - 1) + 3,
 )
 _register(
     "hub", lambda r, k: k,
     lambda n, r, k: hub_family(n, r, k),
-    lambda n, r, k: ((k - 1) // 2) * ((n - 1) // r) + (1 if k % 2 == 0 else 0),
+    lambda n, r, k: _hub_count(n, k, r),
 )
 _register(
     "cycle-hub", lambda r, k: k,
     lambda n, r, k: cycle_satellite_family(n, r, k),
-    lambda n, r, k: (k - 1) + (n - (k - 1) * (r - 1)) // (r - (k - 1) // 2),
+    lambda n, r, k: _satellite_count(n, r, k, (k - 1) * (r - 1)),
 )
 _register(
     "sunflower", lambda r, k: r + 1,
-    lambda n, r, k=None: sunflower_family(n, r),
-    lambda n, r, k: n - r + 1,
+    lambda n, r, k: sunflower_family(n, r),
+    _clique_pendant_count,  # called with k = r+1
 )
 _register(
     "clique-pendants", lambda r, k: k,
     lambda n, r, k: clique_pendant_family(n, r, k),
-    lambda n, r, k: n - (k - 2) + comb(k - 2, r),
+    _clique_pendant_count,
 )
 _register(
     "multi-star", lambda r, k: k,
     lambda n, r, k: multi_family(n, r, k, "star"),
-    lambda n, r, k: ((n - 1) // (r - 1)) * ((k - 1) // 2) + (1 if k % 2 == 0 else 0),
+    lambda n, r, k: _hub_count(n, k, r - 1),
 )
 _register(
     "multi-cycle", lambda r, k: k,
     lambda n, r, k: multi_family(n, r, k, "cycle"),
-    lambda n, r, k: (k - 1) + (n - r) // (r - (k - 1) // 2),
+    lambda n, r, k: _satellite_count(n, r, k, r),
 )
 
 
@@ -411,16 +417,8 @@ def make_family(name: str, n: int, r: int, k: int | None = None) -> Hypergraph:
 class FamilyCheck:
     """Result of verifying a generator output against its contract."""
 
-    name: str
-    n: int
-    r: int
-    k: int
-    edge_count: int
-    expected_count: int
-    connected: bool
-    uniform: bool
-    bp_free: bool | None  # None when the freeness check was skipped
-    failures: list[str] = field(default_factory=list)
+    k: int  # the forbidden path length checked
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
@@ -440,21 +438,14 @@ def verify_family_output(
     kk = _forbidden_length(name, r, k)
     expected = _FAMILIES[name].expected_count(n, r, kk)
     failures = []
-    uniform = all(len(e) == r for e in h.edges)
-    if not uniform:
+    if any(len(e) != r for e in h.edges):
         failures.append("output is not r-uniform")
     if h.n != n:
         failures.append(f"vertex count {h.n} != {n}")
-    connected = is_connected(h)
-    if not connected:
+    if not is_connected(h):
         failures.append("output is not connected/spanning")
     if h.num_edges() != expected:
         failures.append(f"edge count {h.num_edges()} != closed form {expected}")
-    bp_free: bool | None = None
-    if check_bp_free:
-        bp_free = not contains_berge_path(h, kk)
-        if not bp_free:
-            failures.append(f"output contains a Berge path of length {kk}")
-    return FamilyCheck(
-        name, n, r, kk, h.num_edges(), expected, connected, uniform, bp_free, failures
-    )
+    if check_bp_free and contains_berge_path(h, kk):
+        failures.append(f"output contains a Berge path of length {kk}")
+    return FamilyCheck(kk, failures)

@@ -101,11 +101,12 @@ def conn_bp_value(n: int, r: int, k: int) -> FormulaResult:
         return _hub_range_value(n, r, k)
 
     if k == r + 1:
-        return FormulaResult(Fraction(n - r + 1), "exact_for_large_n", "sunflower")
+        return FormulaResult(Fraction(_clique_pendant_count(n, r, k)),
+                             "exact_for_large_n", "sunflower")
 
     if r + 2 <= k <= 2 * r - 1:
-        val = Fraction(n - (k - 2) + comb(k - 2, r))
-        return FormulaResult(val, "conjectured", "clique_pendants")
+        return FormulaResult(Fraction(_clique_pendant_count(n, r, k)),
+                             "conjectured", "clique_pendants")
 
     if k >= 2 * r + 13 and k >= 18:
         return FormulaResult(_gsz21_value(n, r, k), "exact_for_large_n", "gsz21")
@@ -140,6 +141,18 @@ def _kopylov_value(n: int, k: int) -> Fraction:
     return Fraction(max(t1, t2))
 
 
+def _hub_count(n: int, k: int, size: int) -> int:
+    """Edges of a hub of blocks of ``size`` fresh vertices avoiding length
+    k: floor((k-1)/2) per block, one more when k is even."""
+    return ((k - 1) // 2) * ((n - 1) // size) + (1 if k % 2 == 0 else 0)
+
+
+def _clique_pendant_count(n: int, r: int, k: int) -> int:
+    """Edges of a clique on k-2 vertices plus a pendant edge per outside
+    vertex: n - (k-2) + C(k-2, r), which is n-r+1 at k = r+1."""
+    return n - (k - 2) + comb(k - 2, r)
+
+
 def _gsz21_value(n: int, r: int, k: int) -> Fraction:
     """C(q, r-1)*(n-q) + C(q, r) + [2|k]*C(q, r-2), q = floor((k-1)/2)."""
     q = (k - 1) // 2
@@ -153,7 +166,7 @@ def _bp3_value(n: int, r: int) -> FormulaResult:
     if n <= 2 * r - 2:
         return FormulaResult(Fraction(2), "exact", "bp3_pair")
     if (n - 1) % (r - 1) == 0:
-        return FormulaResult(Fraction((n - 1) // (r - 1)), "exact", "bp3_star")
+        return FormulaResult(Fraction(_hub_count(n, 3, r - 1)), "exact", "bp3_star")
     return FormulaResult(None, "undefined", "bp3_star",
                          "no connected spanning BP_3-free hypergraph: "
                          f"(r-1) = {r - 1} does not divide (n-1) = {n - 1}")
@@ -187,8 +200,7 @@ def _hub_range_value(n: int, r: int, k: int) -> FormulaResult:
     if n % r == 0:
         return FormulaResult(None, "undefined", "hub",
                              "value not determined when r | n")
-    val = Fraction(((k - 1) // 2) * ((n - 1) // r) + (1 if k % 2 == 0 else 0))
-    return FormulaResult(val, "exact_for_large_n", "hub")
+    return FormulaResult(Fraction(_hub_count(n, k, r)), "exact_for_large_n", "hub")
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Callable, Iterator
 
@@ -44,6 +44,8 @@ from .berge import (
     longest_berge_path,
     new_edge_detector,
 )
+from .constructions import clique_pendant_family
+from .formulas import _clique_pendant_count
 from .hypergraph import (
     CANONICAL_N_LIMIT,
     Hypergraph,
@@ -107,11 +109,13 @@ class FamilySpec:
 
 def default_n_limit(r: int, multiplicity_cap: int = 1) -> int:
     """Desk-scale defaults; larger parameters require force=True."""
+    if r < 2:
+        raise SearchLimitError(f"r must be >= 2, got r={r}")
     if r > CANONICAL_N_LIMIT:
         raise SearchLimitError(
             f"r={r} needs n >= r, but exact canonicalization is limited to "
             f"n <= {CANONICAL_N_LIMIT}")
-    base = {2: 12, 3: 9, 4: 8}.get(r)
+    base = {3: 9, 4: 8}.get(r)
     if base is None:
         base = max(n for n in range(r, 13) if comb(n, r) <= 130)
     while multiplicity_cap * comb(base, r) > 260 and base > r:
@@ -214,18 +218,10 @@ class SearchOutcome:
     family: str = ""
 
     def to_json_obj(self, stable: bool = False) -> dict:
-        obj = {
-            "status": self.status,
-            "value": self.value,
-            "witnesses": list(self.witnesses),
-            "nodes_explored": self.nodes_explored,
-            "extremal_class_count": self.extremal_class_count,
-            "n": self.n,
-            "r": self.r,
-            "family": self.family,
-        }
+        obj = asdict(self)
+        elapsed_ms = obj.pop("elapsed_ms")
         if not stable:
-            obj["elapsed_ms"] = round(self.elapsed_ms, 3)
+            obj["elapsed_ms"] = round(elapsed_ms, 3)
         return obj
 
     def stable_json(self) -> str:
@@ -381,14 +377,9 @@ class SparseSetReport:
     exact_size_match: bool = False  # |S| == 2r-2 under the small case
 
     def to_json_obj(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "subset": list(self.subset) if self.subset is not None else None,
-            "case": self.case,
-            "neighborhood_size": self.neighborhood_size,
-            "t": self.t,
-            "reason": self.reason,
-        }
+        obj = asdict(self)
+        del obj["exact_size_match"]
+        return obj
 
 
 def _sparse_preconditions(
@@ -572,15 +563,10 @@ class ConjectureReport:
             self.status = "exact_below"
 
     def to_json_obj(self, stable: bool = False) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "k": self.k,
-            "conjectured": self.conjectured,
-            "construction_count": self.construction_count,
-            "status": self.status,
-            "search": self.outcome.to_json_obj(stable=stable),
-        }
+        obj = asdict(self)
+        del obj["outcome"]
+        obj["search"] = self.outcome.to_json_obj(stable=stable)
+        return obj
 
 
 def conjecture_check(
@@ -592,9 +578,7 @@ def conjecture_check(
     as in ``exact_ex_conn``."""
     if not (r + 1 <= k <= 2 * r - 1):
         raise ValueError(f"conjectured range is r+1 <= k <= 2r-1, got k={k}, r={r}")
-    from .constructions import clique_pendant_family
-
-    conjectured = n - (k - 2) + comb(k - 2, r)
+    conjectured = _clique_pendant_count(n, r, k)
     fam = clique_pendant_family(n, r, k)
     outcome = exact_ex_conn(n, r, FamilySpec("bp", k), workers=workers, force=force)
     return ConjectureReport(n, r, k, conjectured, fam.num_edges(), outcome)

@@ -15,6 +15,7 @@ from bergeturan.berge import (
     contains_berge_cycle,
     contains_berge_path,
     longest_berge_path,
+    new_edge_detector,
     verify_witness,
 )
 from bergeturan.hypergraph import build, is_connected
@@ -362,6 +363,16 @@ def test_cycle_detector_matches_brute_force():
                 for j in range(k, min(len(h.edges), h.n) + 1)
             )
             assert contains_berge_cycle(h, k, "at_least") == expect
+
+
+def test_cycle_query_refuses_a_missing_mode():
+    # A None cycle mode would be read as a path query; only the anchored
+    # detector takes None, and there it means a path.
+    path = build(4, 2, [[0, 1], [1, 2], [2, 3]])
+    with pytest.raises(ValueError, match="cycle mode None"):
+        contains_berge_cycle(path, 3, None, want_witness=True)
+    test = new_edge_detector(build(4, 2, [[0, 1], [1, 2]]), 3, None)
+    assert test((2, 3)) and not test((0, 2))
 
 
 def test_bc2_iff_two_instances_sharing_two_vertices():

@@ -242,3 +242,39 @@ def test_exact_checkpoint_flag(capsys, tmp_path):
     code, out2, _ = run(capsys, "exact", "7", "3", "--bp", "3",
                         "--checkpoint", str(path))
     assert code == 0 and out1 == out2
+
+
+def test_report_bytes_are_pinned(capsys, tmp_path):
+    # Every JSON report shape printed by the CLI, hashed as printed, so a
+    # change to how a report is assembled shows here even when each field
+    # still parses to the same value.
+    from hashlib import sha256
+
+    star, pair = tmp_path / "star.txt", tmp_path / "pair.txt"
+    run(capsys, "construct", "star", "7", "3", "--out", str(star))
+    pair.write_text("4 3\n0 1 2\n0 1 3\n")
+    commands = [
+        ("exact", "7", "3", "--bp", "3"),
+        ("exact", "6", "3", "--bp", "3"),
+        ("exact", "8", "3", "--bc", "4"),
+        ("conjecture", "7", "3", "5"),
+        ("lemma-witness", str(star)),
+        ("lemma-witness", str(star), "--constructive"),
+        ("check", str(star), "--bp", "2"),
+        ("check", str(star), "--bc", "2"),
+        ("check", str(pair), "--bc", "2"),
+        ("check", str(star)),
+    ]
+    text = ""
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        text += out
+    assert sha256(text.encode()).hexdigest() == (
+        "a587c70a1fe8ebcea1eda24c76b175e268a5cc318a287ff68a7cc6b949d6c26a"
+    )
+    _, out, _ = run(capsys, "exact", "7", "3", "--bp", "3", "--timing")
+    assert set(json.loads(out)) == {
+        "status", "value", "witnesses", "nodes_explored", "elapsed_ms",
+        "extremal_class_count", "n", "r", "family",
+    }

@@ -331,3 +331,28 @@ def test_every_member_edge_list_is_pinned():
     assert sha256(text.encode()).hexdigest() == (
         "3559b8140f2fa3af596772517200cad003da9f1665c4a8209bbe15721c67b5a4"
     )
+
+
+def test_every_member_verdict_is_pinned():
+    # The verifier's verdict on every member of the grid above: the
+    # forbidden length it checked and its failure strings, in order.
+    from hashlib import sha256
+
+    from bergeturan.constructions import family_names
+
+    text, members = "", 0
+    for name in family_names():
+        for r in range(3, 6):
+            for k in range(3, 2 * r + 1):
+                for n in range(r, 15):
+                    try:
+                        h = make_family(name, n, r, k)
+                    except FamilyParamError:
+                        continue
+                    check = verify_family_output(name, h, n, r, k)
+                    text += f"{name} {n} {r} {k} {check.k} {check.failures}\n"
+                    members += 1
+    assert members == 527
+    assert sha256(text.encode()).hexdigest() == (
+        "139b166a1d8d529fdbc8ab7ce64000acca47f22b0a0e149058e6ed217b922075"
+    )

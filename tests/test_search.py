@@ -261,8 +261,9 @@ def test_repeat_runs_are_byte_stable():
 
 
 def test_default_limits_enforced():
-    assert default_n_limit(3) == 9
-    assert default_n_limit(4) == 8
+    assert [default_n_limit(2, m) for m in range(1, 6)] == [12, 12, 12, 11, 10]
+    assert [default_n_limit(r) for r in range(2, 13)] == [
+        12, 9, 8, 9, 9, 10, 10, 11, 12, 12, 12]
     with pytest.raises(SearchLimitError):
         exact_ex_conn(10, 3, FamilySpec("bp", 3))
     with pytest.raises(SearchLimitError):
@@ -273,6 +274,12 @@ def test_default_limit_past_the_canonical_limit():
     # n >= r > 12 is beyond exact canonicalization, so there is no limit.
     with pytest.raises(SearchLimitError, match="n <= 12"):
         default_n_limit(13)
+
+
+@pytest.mark.parametrize("r", [1, 0, -1])
+def test_default_limit_rejects_r_below_two(r):
+    with pytest.raises(SearchLimitError, match=f"r must be >= 2, got r={r}"):
+        default_n_limit(r)
 
 
 def test_node_budget():
