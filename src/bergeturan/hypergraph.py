@@ -240,6 +240,39 @@ def is_connected(h: Hypergraph) -> bool:
     return count == h.n
 
 
+def interchangeable_classes(h: Hypergraph) -> list[int]:
+    """For each vertex, the id of its class of interchangeable vertices.
+
+    u and w are interchangeable iff swapping them maps the edge multiset
+    onto itself, i.e. iff the instances through u but not w, less u, are
+    those through w but not u, less w, counting repeated instances.
+    Isolated vertices form one class.  The relation is transitive, since
+    (a c) = (a b)(b c)(a b), so each vertex is compared only with the
+    first vertex of each class of equal degree.  Class ids are numbered
+    in order of their first vertex.  The swaps inside the classes
+    generate a subgroup of Aut(h).
+    """
+    # links[v]: the instances through v, less v; in lexicographic order,
+    # since removing a common vertex keeps sorted tuples in order.
+    links: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
+    for e in h.edges:
+        for v in e:
+            links[v].append(tuple(u for u in e if u != v))
+    firsts: list[int] = []
+    cls = [0] * h.n
+    for v in range(h.n):
+        for c, u in enumerate(firsts):
+            if (len(links[u]) == len(links[v])
+                    and [f for f in links[u] if v not in f]
+                    == [f for f in links[v] if u not in f]):
+                cls[v] = c
+                break
+        else:
+            cls[v] = len(firsts)
+            firsts.append(v)
+    return cls
+
+
 def hyperedge_neighborhood(h: Hypergraph, s: Iterable[int]) -> list[int]:
     """Instance ids of all edges meeting the vertex set ``s``."""
     sset = set(s)

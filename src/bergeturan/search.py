@@ -15,6 +15,15 @@ the parent alone, so the answer for a pair is the same for every
 candidate edge containing it: each parent needs at most one walk per
 vertex pair, C(n, 2) in all, and a candidate's test ORs its pairs.
 
+Two vertices of a parent are interchangeable when swapping them maps its
+edge multiset onto itself.  The swaps inside the classes of such vertices
+generate a subgroup of the parent's automorphism group, under which the
+orbit of a candidate edge is the set of candidates with the same sorted
+tuple of class ids.  Children from one orbit are isomorphic, so only the
+first child of each orbit is tested and canonicalized; the others share
+its verdict and its key.  Every candidate is still built and counted as
+tested, and every feasible one joins the reachability closure below.
+
 Connectivity is NOT hereditary and is therefore only evaluated, never
 used to prune directly; instead a reachability-potential prune discards
 representatives whose union with all their admissible additions cannot
@@ -53,6 +62,7 @@ from .hypergraph import (
     canonical_form,
     from_canonical_string,
     hyperedge_neighborhood,
+    interchangeable_classes,
     is_connected,
     relabel,
 )
@@ -142,9 +152,13 @@ def _levels(
 
     ``start`` = (level, representatives, tested_so_far) resumes a run
     whose earlier levels were already yielded.  Every parent expanded is
-    free of the forbidden family.  The time budget is checked before each
-    parent and the node budget after it, so both hold inside a level and
-    the search stops at most one parent's candidates past the node budget.
+    free of the forbidden family.  Of each orbit of candidate edges under
+    the swaps of the parent's interchangeable vertices, only the first
+    child in candidate order is tested and canonicalized; every candidate
+    is still counted in ``tested``.  The time budget is checked before
+    each parent and the node budget after it, so both hold inside a level
+    and the search stops at most one parent's candidates past the node
+    budget.
     """
     candidates = list(itertools.combinations(range(n), r))
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -165,7 +179,10 @@ def _levels(
             for e in parent.edges:
                 counts[e] = counts.get(e, 0) + 1
             violates_with = spec.child_violates(parent)
-            feasible: list[Hypergraph] = []
+            cls = interchangeable_classes(parent)
+            # Orbit (sorted class ids of the new edge) -> its first child in
+            # candidate order, or None if that child violates.
+            firsts: dict[tuple[int, ...], Hypergraph | None] = {}
             feasible_edges: list[tuple[int, ...]] = []
             for e in candidates:
                 if counts.get(e, 0) >= spec.multiplicity_cap:
@@ -174,21 +191,24 @@ def _levels(
                 # the traced benchmark counts tested children by these calls.
                 child = parent.with_edge(e)
                 tested += 1
-                if violates_with(e):
-                    continue
-                feasible.append(child)
-                feasible_edges.append(e)
+                orbit = tuple(sorted([cls[v] for v in e]))
+                if orbit not in firsts:
+                    firsts[orbit] = None if violates_with(e) else child
+                if firsts[orbit] is not None:
+                    feasible_edges.append(e)
             if node_budget is not None and tested > node_budget:
                 raise SearchLimitError(
                     f"node budget {node_budget} exceeded while expanding level {level}"
                 )
-            if not feasible:
+            if not feasible_edges:
                 continue
             closure = Hypergraph(n, r, parent.edges + tuple(feasible_edges))
             if not is_connected(closure):
                 # No superset of this representative can connect and span.
                 continue
-            for child in feasible:
+            for child in firsts.values():
+                if child is None:
+                    continue
                 key, pi = canonical_form(child)
                 if key not in found:
                     found[key] = relabel(child, pi)

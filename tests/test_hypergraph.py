@@ -17,6 +17,7 @@ from bergeturan.hypergraph import (
     from_text,
     hyperedge_neighborhood,
     induced_subhypergraph,
+    interchangeable_classes,
     is_connected,
     relabel,
 )
@@ -470,6 +471,27 @@ def test_canonical_form_matches_reference_on_symmetric_inputs():
         for g in [h] + [_shuffled(rng, h) for _ in range(3)]:
             assert canonical_form(_fresh(g)) == reference_canonical_form(g), g
 
+
+
+def test_interchangeable_classes_are_the_fixing_transpositions():
+    """u and w share a class iff swapping them fixes the edge multiset,
+    on random multi-hypergraphs with repeated instances and isolated
+    vertices; class ids are numbered in order of their first vertex."""
+    import itertools
+
+    corpus = _random_multi_corpus() + _symmetric_corpus()
+    fixing = 0
+    for h in corpus:
+        cls = interchangeable_classes(h)
+        firsts = list(dict.fromkeys(cls))
+        assert firsts == list(range(len(firsts))), h
+        for u, w in itertools.combinations(range(h.n), 2):
+            perm = list(range(h.n))
+            perm[u], perm[w] = w, u
+            fixes = relabel(h, tuple(perm)) == h
+            assert (cls[u] == cls[w]) == fixes, (h, u, w)
+            fixing += fixes
+    assert fixing > 1000, fixing
 
 @pytest.mark.parametrize("name", ["star K_{1,11}", "sunflower(12, 3)"])
 def test_canonical_key_of_large_symmetric_inputs(name, monkeypatch):

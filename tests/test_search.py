@@ -93,6 +93,37 @@ def test_child_violates_matches_full_detector():
     assert min(seen.values()) > 500 and repeated > 500, (seen, repeated)
 
 
+@pytest.mark.parametrize("n, r, spec", [
+    (8, 3, FamilySpec("bp", 4)),
+    (8, 3, FamilySpec("bc_at_least", 3)),
+    (7, 3, FamilySpec("bp", 4, 2)),
+    (5, 2, FamilySpec("bp", 5, 2)),
+])
+def test_every_child_of_an_orbit_has_its_first_childs_key(n, r, spec):
+    """Candidates whose sorted interchangeable-class ids agree give
+    isomorphic children, so the search tests and canonicalizes only the
+    first of each orbit: on every parent it expands, at m = 1 and m = 2,
+    every later child's key is the first child's."""
+    import itertools
+
+    from bergeturan.hypergraph import canonical_key, interchangeable_classes
+    from bergeturan.search import _levels
+
+    skipped = 0
+    for _, reps, _, _ in _levels(n, r, spec):
+        for parent in reps:
+            cls = interchangeable_classes(parent)
+            first = {}
+            for e in itertools.combinations(range(n), r):
+                if parent.multiplicity(e) >= spec.multiplicity_cap:
+                    continue
+                key = canonical_key(parent.with_edge(e))
+                orbit = tuple(sorted(cls[v] for v in e))
+                skipped += orbit in first
+                assert first.setdefault(orbit, key) == key, (parent, e)
+    assert skipped > 500, skipped
+
+
 # -- exact values --------------------------------------------------------
 
 def test_bp3_r3_pattern():
