@@ -14,18 +14,22 @@ Piperno, "Practical graph isomorphism II", 2014), intended for desk scale
 colour refinement and individualizes, in turn, each vertex of the first
 cell that can still split; every leaf is a vertex order, and the
 canonical form is the least relabeled edge list over all leaves, taken
-at the first leaf in depth-first order that attains it.  Two leaves with
-equal relabeled edges give an automorphism: the map sending each vertex
-of one order to the vertex at the same position in the other.  The
-search keeps these as generators.  At a node with individualized
-vertices ``path`` it skips a candidate in the orbit of an explored
-sibling under the generators that fix ``path`` pointwise, and after an
-automorphism is found it abandons the rest of the subtree that the
-automorphism maps onto an explored one.  Either way the skipped subtree
-is an automorphic image of an explored one, so every leaf it holds has
-an earlier explored counterpart with equal relabeled edges; the
-first least leaf is never skipped, and strings and relabelings are
-those of the full search.
+at the first leaf in depth-first order that attains it.  Leaves are
+compared by an integer certificate, the sorted codes of their relabeled
+edges, that orders exactly as the edge lists; the edge list itself is
+built once, for the winning leaf.  Two leaves with equal certificates
+give an automorphism: the map sending each vertex of one order to the
+vertex at the same position in the other.  The search keeps these as
+generators, after any automorphisms the caller already knows.  At a
+node with individualized vertices ``path`` it skips a candidate in the
+orbit of an explored sibling under the generators that fix ``path``
+pointwise, and after an automorphism is found it abandons the rest of
+the subtree that the automorphism maps onto an explored one.  Either
+way the skipped subtree is an automorphic image of an explored one, so
+every leaf it holds has an earlier explored counterpart with equal
+relabeled edges; the first least leaf is never skipped, and strings and
+relabelings are those of the full search, whatever automorphisms the
+caller gave.
 """
 
 from __future__ import annotations
@@ -74,14 +78,16 @@ class Hypergraph:
             raise HypergraphError(f"vertex count must be >= 0, got {n}")
         insts = []
         for i, raw in enumerate(edge_lists):
-            edge = tuple(sorted(raw))
+            # Materialized once: an iterator would be empty after sorting.
+            given = list(raw)
+            edge = tuple(sorted(given))
             if len(edge) != r or len(set(edge)) != r:
                 raise HypergraphError(
-                    f"edge {i} must have exactly {r} distinct vertices, got {list(raw)!r}"
+                    f"edge {i} must have exactly {r} distinct vertices, got {given!r}"
                 )
             if edge[0] < 0 or edge[-1] >= n:
                 raise HypergraphError(
-                    f"edge {i} has vertex id out of range 0..{n - 1}: {list(raw)!r}"
+                    f"edge {i} has vertex id out of range 0..{n - 1}: {given!r}"
                 )
             insts.append(edge)
         insts.sort()
@@ -354,12 +360,19 @@ def _refine(
         cells = out
 
 
-def canonical_form(h: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
+def canonical_form(
+    h: Hypergraph, automorphisms: list[list[int]] | None = None
+) -> tuple[bytes, tuple[int, ...]]:
     """Canonical byte string plus a relabeling (old -> new) achieving it.
 
     Two hypergraphs get identical strings iff they are isomorphic as
     multi-hypergraphs.  Deterministic.  Raises CanonicalSizeError above
     ``CANONICAL_N_LIMIT`` vertices.
+
+    ``automorphisms``, if given, is a list of known automorphisms of h as
+    vertex maps (old -> new).  The search starts from them, so they prune
+    from the first node on, and it appends to the same list every
+    automorphism it finds.  The result does not depend on them.
     """
     if h.n > CANONICAL_N_LIMIT:
         raise CanonicalSizeError(
@@ -377,11 +390,16 @@ def canonical_form(h: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
     twin_ids: dict[tuple[int, ...], int] = {}
     twin = [twin_ids.setdefault(tuple(lst), len(twin_ids)) for lst in inc]
     weight = [-(h.r + 1) ** (h.n - c) for c in range(h.n)]
-    # Relabeled edges of every leaf seen -> the first such leaf's vertex
-    # order; the least key is the canonical one.
-    seen: dict[tuple[tuple[int, ...], ...], tuple[list[int], list[int]]] = {}
-    # Automorphisms found at equal leaves, as vertex maps.
-    gens: list[list[int]] = []
+    # A leaf's certificate: the sorted codes of its relabeled edges, an
+    # edge's code being the sum of ``bit[label]`` over its vertices.  For
+    # r-sets, lexicographic order is the reverse of bitmask order, so the
+    # certificates order exactly as the relabeled edge lists.
+    bit = [-(1 << (h.n - 1 - pos)) for pos in range(h.n)]
+    # Certificate of every leaf seen -> the first such leaf's vertex order
+    # and path; the least certificate is the canonical one.
+    seen: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    # Automorphisms known or found at equal leaves, as vertex maps.
+    gens: list[list[int]] = [] if automorphisms is None else automorphisms
     leaves = [0]
 
     def descend(cells: list[list[int]], path: list[int]) -> int | None:
@@ -395,20 +413,20 @@ def canonical_form(h: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
                 raise CanonicalSizeError("canonical search budget exceeded")
             # Flatten: cells in order, input order inside interchangeable cells.
             order = [v for cell in cells for v in cell]
-            label = [0] * h.n
-            for pos, v in enumerate(order):
-                label[v] = pos
-            relabeled = tuple(
-                sorted([tuple(sorted([label[v] for v in e])) for e in edges])
-            )
-            if relabeled not in seen:
-                seen[relabeled] = (order, path)
+            code = [0] * h.n
+            for v, b in zip(order, bit):
+                code[v] = b
+            cert = tuple(sorted([sum(map(code.__getitem__, e)) for e in edges]))
+            if cert not in seen:
+                seen[cert] = (order, path)
                 return None
-            first, first_path = seen[relabeled]
-            # Equal relabeled edges: first^-1 . label maps h onto itself.
+            first, first_path = seen[cert]
+            # Equal relabeled edges: the map sending each vertex of this
+            # order to the vertex at its position in the first maps h
+            # onto itself.
             gamma = list(range(h.n))
-            for v in support:
-                gamma[v] = first[label[v]]
+            for v, u in zip(order, first):
+                gamma[v] = u
             gens.append(gamma)
             # gamma fixes the common prefix of the two paths and maps this
             # path's next vertex onto the first's, so the rest of this
@@ -452,17 +470,17 @@ def canonical_form(h: Hypergraph) -> tuple[bytes, tuple[int, ...]]:
     for v in support:
         by_degree.setdefault(len(inc[v]), []).append(v)
     descend([by_degree[d] for d in sorted(by_degree)], [])
-    relabeled_edges = min(seen)
-    order = seen[relabeled_edges][0]
+    order = seen[min(seen)][0]
 
     # ``order`` holds the support, so isolated vertices take the last labels.
     pi_list = [0] * h.n
     for p, v in enumerate(order + isolated):
         pi_list[v] = p
+    relabeled_edges = sorted([tuple(sorted([pi_list[v] for v in e])) for e in edges])
     return _encode(h.n, h.r, relabeled_edges), tuple(pi_list)
 
 
-def _encode(n: int, r: int, relabeled_edges: tuple[tuple[int, ...], ...]) -> bytes:
+def _encode(n: int, r: int, relabeled_edges: list[tuple[int, ...]]) -> bytes:
     parts = [f"{n} {r}"]
     parts.extend(",".join(map(str, e)) for e in relabeled_edges)
     return ";".join(parts).encode("ascii")

@@ -19,10 +19,19 @@ Two vertices of a parent are interchangeable when swapping them maps its
 edge multiset onto itself.  The swaps inside the classes of such vertices
 generate a subgroup of the parent's automorphism group, under which the
 orbit of a candidate edge is the set of candidates with the same sorted
-tuple of class ids.  Children from one orbit are isomorphic, so only the
-first child of each orbit is tested and canonicalized; the others share
-its verdict and its key.  Every candidate is still built and counted as
-tested, and every feasible one joins the reachability closure below.
+tuple of class ids.  Automorphisms pass between levels in both
+directions (McKay, "Isomorph-free exhaustive generation", 1998).  Each
+representative carries the automorphisms known from its own
+canonicalization, conjugated into its canonical labeling; as a parent,
+those that move a vertex to another class merge class orbits, and any
+subgroup of the automorphism group gives orbits of isomorphic children.
+Only the first child of each merged orbit is tested and canonicalized;
+the others share its verdict and its key.  That child's canonical search
+starts from the parent automorphisms that fix the new edge (the class
+swaps that keep its vertices together and the carried generators that
+map it onto itself), which prune its search tree from the root.  Every
+candidate is still built and counted as tested, and every feasible one
+joins the reachability closure below.
 
 Connectivity is NOT hereditary and is therefore only evaluated, never
 used to prune directly; instead a reachability-potential prune discards
@@ -151,14 +160,16 @@ def _levels(
     tested so far.  A finished run ends with (last level, [], [], tested).
 
     ``start`` = (level, representatives, tested_so_far) resumes a run
-    whose earlier levels were already yielded.  Every parent expanded is
-    free of the forbidden family.  Of each orbit of candidate edges under
-    the swaps of the parent's interchangeable vertices, only the first
-    child in candidate order is tested and canonicalized; every candidate
-    is still counted in ``tested``.  The time budget is checked before
-    each parent and the node budget after it, so both hold inside a level
-    and the search stops at most one parent's candidates past the node
-    budget.
+    whose earlier levels were already yielded; its representatives carry
+    no automorphisms.  Every parent expanded is free of the forbidden
+    family.  Of each orbit of candidate edges under the swaps of the
+    parent's interchangeable vertices and its carried generators, only
+    the first child in candidate order is tested and canonicalized,
+    seeded with the parent automorphisms that fix its new edge; every
+    candidate is still counted in ``tested``.  The time budget is
+    checked before each parent and the node budget after it, so both
+    hold inside a level and the search stops at most one parent's
+    candidates past the node budget.
     """
     candidates = list(itertools.combinations(range(n), r))
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -168,9 +179,13 @@ def _levels(
         yield level, current, [canonical_form(root)[0]], tested
     else:
         level, current, tested = start
+    # Known automorphisms of each representative, as vertex maps; those
+    # resumed from a checkpoint carry none.
+    carried: list[list[list[int]]] = [[] for _ in current]
     while current:
-        found: dict[bytes, Hypergraph] = {}
-        for parent in current:
+        # Key -> (representative, its known automorphisms).
+        found: dict[bytes, tuple[Hypergraph, list[list[int]]]] = {}
+        for parent, autos in zip(current, carried):
             if deadline is not None and time.monotonic() > deadline:
                 raise SearchLimitError(
                     f"time budget exceeded while expanding level {level}"
@@ -180,20 +195,22 @@ def _levels(
                 counts[e] = counts.get(e, 0) + 1
             violates_with = spec.child_violates(parent)
             cls = interchangeable_classes(parent)
-            # Orbit (sorted class ids of the new edge) -> its first child in
-            # candidate order, or None if that child violates.
-            firsts: dict[tuple[int, ...], Hypergraph | None] = {}
+            # The class orbits already cover every carried generator that
+            # keeps each vertex in its class.
+            gens = [g for g in autos if any(cls[g[v]] != cls[v] for v in range(n))]
+            allowed = [e for e in candidates
+                       if counts.get(e, 0) < spec.multiplicity_cap]
+            # Orbit -> (edge, child) of its first child in candidate order,
+            # or None if that child violates.
+            firsts: dict[int, tuple[tuple[int, ...], Hypergraph] | None] = {}
             feasible_edges: list[tuple[int, ...]] = []
-            for e in candidates:
-                if counts.get(e, 0) >= spec.multiplicity_cap:
-                    continue
+            for e, orbit in zip(allowed, _candidate_orbits(allowed, cls, r, gens)):
                 # Built for every tested child, not only the feasible ones:
                 # the traced benchmark counts tested children by these calls.
                 child = parent.with_edge(e)
                 tested += 1
-                orbit = tuple(sorted([cls[v] for v in e]))
                 if orbit not in firsts:
-                    firsts[orbit] = None if violates_with(e) else child
+                    firsts[orbit] = None if violates_with(e) else (e, child)
                 if firsts[orbit] is not None:
                     feasible_edges.append(e)
             if node_budget is not None and tested > node_budget:
@@ -206,19 +223,86 @@ def _levels(
             if not is_connected(closure):
                 # No superset of this representative can connect and span.
                 continue
-            for child in firsts.values():
-                if child is None:
+            swaps = _class_swaps(parent, cls)
+            for first in firsts.values():
+                if first is None:
                     continue
-                key, pi = canonical_form(child)
+                e, child = first
+                # Automorphisms of the parent that fix e setwise are
+                # automorphisms of the child: the swaps inside a class
+                # that keep e's vertices together, and the carried
+                # generators that map e onto itself.
+                seeds = [g for u, w, g in swaps if (u in e) == (w in e)]
+                own = len(seeds)
+                seeds += [g for g in gens if sorted([g[v] for v in e]) == list(e)]
+                key, pi = canonical_form(child, seeds)
                 if key not in found:
-                    found[key] = relabel(child, pi)
+                    # Carry all but the swaps into the canonical labeling:
+                    # those stay inside the child's own classes.
+                    found[key] = (relabel(child, pi),
+                                  [_conjugate(g, pi) for g in seeds[own:]])
         if not found:
             break
         level += 1
         keys = sorted(found)
-        current = [found[k] for k in keys]
+        current = [found[k][0] for k in keys]
+        carried = [found[k][1] for k in keys]
         yield level, current, keys, tested
     yield level, [], [], tested
+
+
+def _candidate_orbits(
+    allowed: list[tuple[int, ...]], cls: list[int], r: int, gens: list[list[int]]
+) -> list[int]:
+    """For each allowed edge, an id of its orbit under the swaps inside
+    the classes ``cls`` of interchangeable vertices and under ``gens``.
+
+    An edge's class orbit is the multiset of its class ids, coded in base
+    r + 1.  Each generator permutes the classes, so it maps a whole class
+    orbit onto one class orbit, and one edge per orbit shows where.
+    """
+    pw = [(r + 1) ** c for c in cls]
+    codes = [sum(map(pw.__getitem__, e)) for e in allowed]
+    if not gens:
+        return codes
+    edge_of = dict(zip(codes, allowed))
+    root = {c: c for c in edge_of}
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            root[c] = root[root[c]]
+            c = root[c]
+        return c
+
+    for g in gens:
+        for c, e in edge_of.items():
+            a, b = find(c), find(sum([pw[g[v]] for v in e]))
+            if a != b:
+                root[b] = a
+    return [find(c) for c in codes]
+
+
+def _class_swaps(h: Hypergraph, cls: list[int]) -> list[tuple[int, int, list[int]]]:
+    """(u, w, the transposition of u and w as a vertex map) for each pair
+    of interchangeable vertices that lie in edges of h."""
+    members: dict[int, list[int]] = {}
+    for v in h.support():
+        members.setdefault(cls[v], []).append(v)
+    out = []
+    for group in members.values():
+        for u, w in itertools.combinations(group, 2):
+            g = list(range(h.n))
+            g[u], g[w] = w, u
+            out.append((u, w, g))
+    return out
+
+
+def _conjugate(g: list[int], pi: tuple[int, ...]) -> list[int]:
+    """g moved into the labeling pi (old -> new): pi[v] -> pi[g[v]]."""
+    out = [0] * len(g)
+    for v, w in enumerate(g):
+        out[pi[v]] = pi[w]
+    return out
 
 
 # ----------------------------------------------------------------------

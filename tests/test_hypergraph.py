@@ -64,6 +64,15 @@ def test_build_rejects_bad_ids_and_uniformity():
         build(4, 1, [[0]])
 
 
+def test_build_errors_show_an_edge_given_as_an_iterator():
+    with pytest.raises(HypergraphError, match=r"edge 1 must have exactly 3 "
+                       r"distinct vertices, got \[1, 0\]$"):
+        build(4, 3, [[0, 1, 2], iter([1, 0])])
+    with pytest.raises(HypergraphError, match=r"edge 0 has vertex id out of "
+                       r"range 0\.\.3: \[4, 0, 1\]$"):
+        build(4, 3, [iter([4, 0, 1])])
+
+
 def test_build_orders_instances_canonically():
     a = build(5, 3, [[4, 3, 2], [2, 1, 0]])
     b = build(5, 3, [[0, 1, 2], [2, 3, 4]])
@@ -472,6 +481,46 @@ def test_canonical_form_matches_reference_on_symmetric_inputs():
             assert canonical_form(_fresh(g)) == reference_canonical_form(g), g
 
 
+def _interchangeable_swaps(h):
+    """The transpositions of interchangeable vertices, as vertex maps."""
+    import itertools
+
+    cls = interchangeable_classes(h)
+    swaps = []
+    for u, w in itertools.combinations(range(h.n), 2):
+        if cls[u] == cls[w]:
+            perm = list(range(h.n))
+            perm[u], perm[w] = w, u
+            swaps.append(perm)
+    return swaps
+
+
+def test_seeded_canonical_form_matches_reference():
+    """Known automorphisms only prune: seeded with random subsets of the
+    interchangeable transpositions and of the automorphisms an unseeded
+    call finds, canonical_form returns the reference string and
+    relabeling, and every map it leaves in the list is an automorphism."""
+    from bergeturan.hypergraph import canonical_form
+
+    rng = random.Random(13)
+    corpus = _random_multi_corpus()
+    for h in _symmetric_corpus():
+        corpus += [h] + [_shuffled(rng, h) for _ in range(2)]
+    seeded = found = 0
+    for h in corpus:
+        want = reference_canonical_form(h)
+        first = []
+        assert canonical_form(_fresh(h), first) == want, h
+        pool = _interchangeable_swaps(h) + first
+        seeds = [g for g in pool if rng.random() < 0.5]
+        given = len(seeds)
+        seeded += given > 0
+        assert canonical_form(_fresh(h), seeds) == want, (h, seeds)
+        found += len(seeds) > given
+        for g in first + seeds:
+            assert relabel(h, tuple(g)) == h, (h, g)
+    assert seeded > 1000 and found > 0, (seeded, found)
+
 
 def test_interchangeable_classes_are_the_fixing_transpositions():
     """u and w share a class iff swapping them fixes the edge multiset,
@@ -492,6 +541,7 @@ def test_interchangeable_classes_are_the_fixing_transpositions():
             assert (cls[u] == cls[w]) == fixes, (h, u, w)
             fixing += fixes
     assert fixing > 1000, fixing
+
 
 @pytest.mark.parametrize("name", ["star K_{1,11}", "sunflower(12, 3)"])
 def test_canonical_key_of_large_symmetric_inputs(name, monkeypatch):

@@ -99,29 +99,65 @@ def test_child_violates_matches_full_detector():
     (7, 3, FamilySpec("bp", 4, 2)),
     (5, 2, FamilySpec("bp", 5, 2)),
 ])
-def test_every_child_of_an_orbit_has_its_first_childs_key(n, r, spec):
+def test_every_child_of_an_orbit_has_its_first_childs_key(n, r, spec, monkeypatch):
     """Candidates whose sorted interchangeable-class ids agree give
-    isomorphic children, so the search tests and canonicalizes only the
-    first of each orbit: on every parent it expands, at m = 1 and m = 2,
-    every later child's key is the first child's."""
+    isomorphic children, and so do class orbits that a carried generator
+    merges, so the search tests and canonicalizes only the first child of
+    each merged orbit: on every parent it expands, at m = 1 and m = 2,
+    every later child's key is the first child's.  Every carried generator
+    is an automorphism of its parent, every seed an automorphism of the
+    child it seeds, and a seeded call returns the unseeded result."""
     import itertools
 
-    from bergeturan.hypergraph import canonical_key, interchangeable_classes
-    from bergeturan.search import _levels
+    import bergeturan.search as search
+    from bergeturan.hypergraph import canonical_form, canonical_key, relabel
 
+    expanded = []   # (parent, its allowed candidates, their orbit ids)
+    parents = []
+    classes = search.interchangeable_classes
+    orbits_of = search._candidate_orbits
+    canon = search.canonical_form
+    seeded = []
+
+    def record_classes(h):
+        parents.append(h)
+        return classes(h)
+
+    def record_orbits(allowed, cls, r, gens):
+        parent = parents[-1]
+        for g in gens:
+            assert relabel(parent, tuple(g)) == parent, (parent, g)
+        orbits = orbits_of(allowed, cls, r, gens)
+        merges = len(set(orbits_of(allowed, cls, r, []))) - len(set(orbits))
+        expanded.append((parent, allowed, orbits, merges))
+        return orbits
+
+    def record_canon(h, automorphisms=None):
+        seeds = None if automorphisms is None else list(automorphisms)
+        out = canon(h, automorphisms)
+        seeded.append((h, seeds, out))
+        return out
+
+    monkeypatch.setattr(search, "interchangeable_classes", record_classes)
+    monkeypatch.setattr(search, "_candidate_orbits", record_orbits)
+    monkeypatch.setattr(search, "canonical_form", record_canon)
+    for _ in search._levels(n, r, spec):
+        pass
     skipped = 0
-    for _, reps, _, _ in _levels(n, r, spec):
-        for parent in reps:
-            cls = interchangeable_classes(parent)
-            first = {}
-            for e in itertools.combinations(range(n), r):
-                if parent.multiplicity(e) >= spec.multiplicity_cap:
-                    continue
-                key = canonical_key(parent.with_edge(e))
-                orbit = tuple(sorted(cls[v] for v in e))
-                skipped += orbit in first
-                assert first.setdefault(orbit, key) == key, (parent, e)
-    assert skipped > 500, skipped
+    for parent, allowed, orbits, _ in expanded:
+        assert allowed == [e for e in itertools.combinations(range(n), r)
+                           if parent.multiplicity(e) < spec.multiplicity_cap]
+        first = {}
+        for e, orbit in zip(allowed, orbits):
+            key = canonical_key(parent.with_edge(e))
+            skipped += orbit in first
+            assert first.setdefault(orbit, key) == key, (parent, e)
+    merges = sum(m for *_, m in expanded)
+    assert skipped > 500 and merges > 50, (skipped, merges)
+    for h, seeds, out in seeded:
+        assert out == canonical_form(h), h
+        for g in seeds or []:
+            assert relabel(h, tuple(g)) == h, (h, g)
 
 
 # -- exact values --------------------------------------------------------
@@ -385,6 +421,33 @@ def test_checkpoint_resume_matches_fresh_run(tmp_path, budget, level):
     again = exact_ex_conn(7, 3, spec, checkpoint_path=path)
     assert again.stable_json() == fresh
     assert again.nodes_explored > 0
+
+
+def test_checkpoint_resume_with_carried_generators(tmp_path, monkeypatch):
+    """Representatives resumed from a checkpoint carry no generators, so
+    their candidates fall back to class orbits; the levels after them
+    carry generators again.  The outcome is the fresh run's."""
+    import bergeturan.search as search
+
+    merges = []
+    orbits_of = search._candidate_orbits
+
+    def record(allowed, cls, r, gens):
+        orbits = orbits_of(allowed, cls, r, gens)
+        merges.append(len(set(orbits_of(allowed, cls, r, []))) - len(set(orbits)))
+        return orbits
+
+    monkeypatch.setattr(search, "_candidate_orbits", record)
+    spec = FamilySpec("bp", 4)
+    fresh = exact_ex_conn(8, 3, spec).stable_json()
+    in_fresh = sum(merges)
+    path = str(tmp_path / "ck.json")
+    with pytest.raises(SearchLimitError,
+                       match="exceeded while expanding level 3$"):
+        exact_ex_conn(8, 3, spec, node_budget=300, checkpoint_path=path)
+    merges.clear()
+    assert exact_ex_conn(8, 3, spec, checkpoint_path=path).stable_json() == fresh
+    assert 0 < sum(merges) < in_fresh, (merges, in_fresh)
 
 
 def test_checkpoint_rejects_mismatched_run(tmp_path):
