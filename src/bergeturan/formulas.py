@@ -120,16 +120,16 @@ def conn_bp_value(n: int, r: int, k: int) -> FormulaResult:
 
 def _graph_case(n: int, k: int) -> FormulaResult:
     """r = 2: connected graphs without a path of length k."""
-    if k >= 4:
-        if n < k:
-            return FormulaResult(None, "undefined", "kopylov",
-                                 "formula stated for n >= k")
-        return FormulaResult(_kopylov_value(n, k), "exact", "kopylov")
     if k == 2:
         if n == 2:
             return FormulaResult(Fraction(1), "exact", "bp2")
         return FormulaResult(None, "undefined", "bp2",
                              "no connected spanning P_2-free graph for n > 2")
+    if n <= k:
+        return FormulaResult(Fraction(comb(n, 2)), "exact", "complete",
+                             "a path of length k needs k+1 vertices")
+    if k >= 4:
+        return FormulaResult(_kopylov_value(n, k), "exact", "kopylov")
     return FormulaResult(None, "undefined", "none",
                          "graph case k = 3 not covered by the implemented formulas")
 
@@ -214,7 +214,7 @@ def classical_bound(selector: str, n: int, r: int, k: int) -> FormulaResult:
     gkl_small     : n*(k-1)/(r+1), unrestricted, 2 < k <= r
     gkl_large     : (n/k)*C(k,r), unrestricted, k > r+1 > 3
     dgmt          : n, unrestricted, k = r+1
-    kopylov       : graph case (r = 2), connected, n >= k >= 4, exact
+    kopylov       : graph case (r = 2), connected, n > k >= 4, exact
     fkl_conn      : C(ceil((k+1)/2), r) + (n - ceil((k+1)/2))*C(floor((k-1)/2), r-1),
                     connected, k >= 4r >= 12, large n
     gsz21         : C(q, r-1)*(n-q) + C(q, r) + [2|k]*C(q, r-2), q = floor((k-1)/2),
@@ -239,9 +239,9 @@ def classical_bound(selector: str, n: int, r: int, k: int) -> FormulaResult:
             raise FormulaRangeError(f"dgmt needs k = r+1, got k={k}, r={r}")
         return FormulaResult(Fraction(n), "upper_bound", "dgmt")
     if selector == "kopylov":
-        if r != 2 or not (n >= k >= 4):
+        if r != 2 or not (n > k >= 4):
             raise FormulaRangeError(
-                f"kopylov is the graph case: r=2, n >= k >= 4, got {(n, r, k)}"
+                f"kopylov is the graph case: r=2, n > k >= 4, got {(n, r, k)}"
             )
         return FormulaResult(_kopylov_value(n, k), "exact", "kopylov")
     if selector == "fkl_conn":

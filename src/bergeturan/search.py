@@ -33,6 +33,21 @@ map it onto itself), which prune its search tree from the root.  Every
 candidate is still built and counted as tested, and every feasible one
 joins the reachability closure below.
 
+Before that child is canonicalized it must pass McKay's cheap deletion
+test: no edge of the child may have a strictly larger invariant than the
+new edge, an edge's invariant being its vertices' degrees in descending
+order, then its multiplicity.  A child that fails is deferred, not
+canonicalized.  Its class is still found if the level holds every free
+class and expands all of them: deleting an edge m of largest invariant
+leaves a free graph isomorphic to a representative of the level, whose
+first child on the orbit of m's image is isomorphic to the deferred
+child and passes.  The next level then holds every free class too.  So
+the test is on from the root of a fresh run until the prune below cuts
+a parent; that level canonicalizes its deferred children at its end, as
+if they had never been deferred, and the test stays off for the rest of
+the run, and for all of a run resumed from a checkpoint.  Levels, keys
+and counts are those of the search without the test.
+
 Connectivity is NOT hereditary and is therefore only evaluated, never
 used to prune directly; instead a reachability-potential prune discards
 representatives whose union with all their admissible additions cannot
@@ -166,30 +181,45 @@ def _levels(
     parent's interchangeable vertices and its carried generators, only
     the first child in candidate order is tested and canonicalized,
     seeded with the parent automorphisms that fix its new edge; every
-    candidate is still counted in ``tested``.  The time budget is
-    checked before each parent and the node budget after it, so both
-    hold inside a level and the search stops at most one parent's
-    candidates past the node budget.
+    candidate is still counted in ``tested``.  While every level so far
+    is complete (a fresh run, no parent pruned yet), a first child that
+    fails ``_passes_deletion_test`` is deferred instead: another parent's
+    child in its class passes.  The level that prunes its first parent
+    canonicalizes its deferred children at its end, and from then on the
+    test is off.  The time budget is checked before each parent and each
+    deferred child, and the node budget after each parent, so both hold
+    inside a level and the search stops at most one parent's candidates
+    past the node budget.
     """
     candidates = list(itertools.combinations(range(n), r))
     deadline = None if time_budget is None else time.monotonic() + time_budget
+
+    def check_deadline() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchLimitError(
+                f"time budget exceeded while expanding level {level}"
+            )
+
     if start is None:
         root = Hypergraph(n, r, ())
         level, current, tested = 0, [root], 0
         yield level, current, [canonical_form(root)[0]], tested
     else:
         level, current, tested = start
+    # Whether the current level holds every free class, which the
+    # deletion test needs: true from a fresh root until a parent is pruned.
+    complete = start is None
     # Known automorphisms of each representative, as vertex maps; those
     # resumed from a checkpoint carry none.
     carried: list[list[list[int]]] = [[] for _ in current]
     while current:
         # Key -> (representative, its known automorphisms).
         found: dict[bytes, tuple[Hypergraph, list[list[int]]]] = {}
+        # Per parent whose children the deletion test deferred: (parent,
+        # its swaps and generators, the new edges of those children).
+        deferred: list[tuple[Hypergraph, list, list, list[tuple[int, ...]]]] = []
         for parent, autos in zip(current, carried):
-            if deadline is not None and time.monotonic() > deadline:
-                raise SearchLimitError(
-                    f"time budget exceeded while expanding level {level}"
-                )
+            check_deadline()
             counts: dict[tuple[int, ...], int] = {}
             for e in parent.edges:
                 counts[e] = counts.get(e, 0) + 1
@@ -222,25 +252,34 @@ def _levels(
             closure = Hypergraph(n, r, parent.edges + tuple(feasible_edges))
             if not is_connected(closure):
                 # No superset of this representative can connect and span.
+                complete = False
                 continue
             swaps = _class_swaps(parent, cls)
+            degree = [0] * n
+            for e in parent.edges:
+                for v in e:
+                    degree[v] += 1
+            later: list[tuple[int, ...]] = []
             for first in firsts.values():
                 if first is None:
                     continue
                 e, child = first
-                # Automorphisms of the parent that fix e setwise are
-                # automorphisms of the child: the swaps inside a class
-                # that keep e's vertices together, and the carried
-                # generators that map e onto itself.
-                seeds = [g for u, w, g in swaps if (u in e) == (w in e)]
-                own = len(seeds)
-                seeds += [g for g in gens if sorted([g[v] for v in e]) == list(e)]
-                key, pi = canonical_form(child, seeds)
-                if key not in found:
-                    # Carry all but the swaps into the canonical labeling:
-                    # those stay inside the child's own classes.
-                    found[key] = (relabel(child, pi),
-                                  [_conjugate(g, pi) for g in seeds[own:]])
+                if complete and not _passes_deletion_test(counts, degree, e):
+                    later.append(e)
+                else:
+                    _admit(found, child, e, swaps, gens)
+            if later:
+                deferred.append((parent, swaps, gens, later))
+        if not complete:
+            # A pruned parent may have held the only canonical deletion of
+            # a deferred child's class.
+            for parent, swaps, gens, later in deferred:
+                for e in later:
+                    check_deadline()
+                    # Built directly: the traced benchmark counts tested
+                    # children by their with_edge calls.
+                    child = Hypergraph(n, r, tuple(sorted(parent.edges + (e,))))
+                    _admit(found, child, e, swaps, gens)
         if not found:
             break
         level += 1
@@ -249,6 +288,55 @@ def _levels(
         carried = [found[k][1] for k in keys]
         yield level, current, keys, tested
     yield level, [], [], tested
+
+
+def _passes_deletion_test(
+    counts: dict[tuple[int, ...], int], degree: list[int], e: tuple[int, ...]
+) -> bool:
+    """Whether no edge of parent + e has a larger invariant than e.
+
+    ``counts`` and ``degree`` are the parent's edge multiplicities and
+    vertex degrees.  An edge's invariant in the child is its vertices'
+    child degrees in descending order, then its child multiplicity; it
+    is preserved by isomorphisms, and ties are allowed.
+    """
+    degree = degree.copy()
+    for v in e:
+        degree[v] += 1
+    own = sorted([degree[v] for v in e], reverse=True)
+    own.append(counts.get(e, 0) + 1)
+    for f, c in counts.items():
+        if f != e:
+            inv = sorted([degree[v] for v in f], reverse=True)
+            inv.append(c)
+            if inv > own:
+                return False
+    return True
+
+
+def _admit(
+    found: dict[bytes, tuple[Hypergraph, list[list[int]]]],
+    child: Hypergraph,
+    e: tuple[int, ...],
+    swaps: list[tuple[int, int, list[int]]],
+    gens: list[list[int]],
+) -> None:
+    """Canonicalize the child parent + e and keep it if its class is new.
+
+    Automorphisms of the parent that fix e setwise are automorphisms of
+    the child: the swaps inside a class that keep e's vertices together,
+    and the carried generators ``gens`` that map e onto itself.  They
+    seed the canonical search.
+    """
+    seeds = [g for u, w, g in swaps if (u in e) == (w in e)]
+    own = len(seeds)
+    seeds += [g for g in gens if sorted([g[v] for v in e]) == list(e)]
+    key, pi = canonical_form(child, seeds)
+    if key not in found:
+        # Carry all but the swaps into the canonical labeling: those stay
+        # inside the child's own classes.
+        found[key] = (relabel(child, pi),
+                      [_conjugate(g, pi) for g in seeds[own:]])
 
 
 def _candidate_orbits(

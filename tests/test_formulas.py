@@ -284,5 +284,5 @@ def test_every_value_and_bound_is_pinned():
                             lines.append(f"{sel} {exc}")
     assert len(lines) == 127764
     assert sha256("\n".join(lines).encode()).hexdigest() == (
-        "ae465a89155424f46b6fcef21848d5e4d85b14c5fcd5e74ccc59957417326167"
+        "2b119776c01d9da5a170d302451d735fc569e684db666f5b14e620b6f00a9834"
     )

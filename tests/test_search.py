@@ -160,6 +160,115 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(n, r, spec, monkeypatc
             assert relabel(h, tuple(g)) == h, (h, g)
 
 
+def _levels_with_and_without_deletion_test(n, r, spec, **kw):
+    """Per-level (level, keys, tested) and the canonical_form call count
+    of the search, then of the same search with the deletion test forced
+    to accept every child."""
+    import bergeturan.search as search
+
+    canon = search.canonical_form
+    out = []
+    for accept_all in (False, True):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "canonical_form",
+                       lambda h, automorphisms=None:
+                       calls.append(1) or canon(h, automorphisms))
+            if accept_all:
+                mp.setattr(search, "_passes_deletion_test", lambda *a: True)
+            levels = [(level, keys, tested)
+                      for level, _, keys, tested in search._levels(n, r, spec, **kw)]
+        out += [levels, len(calls)]
+    return out
+
+
+def test_deletion_test_keeps_every_level():
+    """The deletion test defers most first children without changing any
+    level's keys or tested count, at m = 1 and m = 2, for paths and both
+    cycle modes, on whole graph populations, and where a prune makes a
+    level canonicalize its deferred children after all."""
+    grid = [
+        (8, 3, FamilySpec("bp", 4)),
+        (10, 3, FamilySpec("bp", 4)),
+        (7, 3, FamilySpec("bp", 4, 2)),
+        (6, 3, FamilySpec("bp", 5)),
+        (4, 2, FamilySpec("bp", 3, 2)),
+        (5, 2, FamilySpec("bp", 5, 2)),
+        (6, 2, FamilySpec("bp", 6)),
+        (7, 3, FamilySpec("bc_exact", 4)),
+        (7, 3, FamilySpec("bc_at_least", 4)),
+        (5, 2, FamilySpec("bc_at_least", 4, 2)),
+    ]
+    skipped = 0
+    for n, r, spec in grid:
+        levels, calls, forced, forced_calls = (
+            _levels_with_and_without_deletion_test(n, r, spec))
+        assert levels == forced, (n, r, spec)
+        assert calls <= forced_calls, (n, r, spec)
+        skipped += forced_calls - calls
+    assert skipped > 3000, skipped
+
+
+def test_a_prune_readmits_the_deferred_children(monkeypatch):
+    """At (7,3,BP4, m = 2), level 3 defers children before its first
+    parent is pruned, and some of the classes it reaches come only from
+    those children: they are canonicalized at the end of the level."""
+    import bergeturan.search as search
+    from bergeturan.hypergraph import Hypergraph, canonical_key
+
+    n, r, spec = 7, 3, FamilySpec("bp", 4, 2)
+    passes = search._passes_deletion_test
+    seen = []   # (passed, the child's key), since the last level
+
+    def record(counts, degree, e):
+        edges = [f for f, c in counts.items() for _ in range(c)] + [e]
+        key = canonical_key(Hypergraph(n, r, tuple(sorted(edges))))
+        seen.append((passes(counts, degree, e), key))
+        return seen[-1][0]
+
+    monkeypatch.setattr(search, "_passes_deletion_test", record)
+    readmitted = {}
+    for level, _, keys, _ in search._levels(n, r, spec):
+        passed = {key for ok, key in seen if ok}
+        deferred = {key for ok, key in seen if not ok}
+        readmitted[level] = deferred & set(keys) - passed
+        seen.clear()
+    assert readmitted[4], readmitted
+    levels, _, forced, _ = _levels_with_and_without_deletion_test(n, r, spec)
+    assert levels == forced
+
+
+@pytest.mark.parametrize("budget, level", [(150, 2), (300, 3)])
+def test_deletion_test_is_off_after_a_checkpoint_resume(tmp_path, budget, level):
+    """A resumed run cannot know that its first level is complete, so it
+    canonicalizes every first child: its levels, its keys and its
+    canonical_form calls are those of the search without the test, and
+    its outcome is the fresh run's.  The fresh run prunes its first
+    parent while expanding level 3, so at level 2 the test would still
+    defer children."""
+    import json
+
+    import bergeturan.search as search
+    from bergeturan.hypergraph import from_canonical_string
+
+    n, r, spec = 8, 3, FamilySpec("bp", 4)
+    fresh = exact_ex_conn(n, r, spec).stable_json()
+    path = tmp_path / "ck.json"
+    with pytest.raises(SearchLimitError,
+                       match=f"exceeded while expanding level {level}$"):
+        exact_ex_conn(n, r, spec, node_budget=budget, checkpoint_path=str(path))
+    ck = json.loads(path.read_text())
+    start = (ck["level"], [from_canonical_string(k) for k in ck["reps"]],
+             ck["tested"])
+    levels, calls, forced, forced_calls = (
+        _levels_with_and_without_deletion_test(n, r, spec, start=start))
+    assert levels == forced and calls == forced_calls
+    fresh_levels = [(level, keys, tested) for level, _, keys, tested
+                    in search._levels(n, r, spec)]
+    assert levels == fresh_levels[ck["level"] + 1:]
+    assert exact_ex_conn(n, r, spec, checkpoint_path=str(path)).stable_json() == fresh
+
+
 # -- exact values --------------------------------------------------------
 
 def test_bp3_r3_pattern():
@@ -203,6 +312,22 @@ def test_r2_matches_connected_graph_formula():
     for n, k in [(5, 4), (6, 4), (6, 5), (7, 5)]:
         out = exact_ex_conn(n, 2, FamilySpec("bp", k))
         assert out.value == classical_bound("kopylov", n, 2, k).value
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_r2_at_n_equal_k_is_the_complete_graph(k):
+    """A path of length k needs k+1 vertices, so at n = k the complete
+    graph is free: the dispatcher gives C(k, 2), exact, and Kopylov's
+    formula, which undercounts there, is out of range."""
+    from math import comb
+
+    from bergeturan.formulas import FormulaRangeError, conn_bp_value
+
+    out = exact_ex_conn(k, 2, FamilySpec("bp", k))
+    res = conn_bp_value(k, 2, k)
+    assert out.value == res.value == comb(k, 2) and res.regime == "exact"
+    with pytest.raises(FormulaRangeError):
+        classical_bound("kopylov", k, 2, k)
 
 
 def test_witness_soundness():
@@ -403,6 +528,36 @@ def test_time_budget_holds_inside_a_level(monkeypatch, tmp_path):
                       checkpoint_path=str(path))
     ck = json.loads(path.read_text())
     assert ck["level"] == 2 and len(ck["reps"]) > 1
+
+
+def test_time_budget_holds_while_deferred_children_are_readmitted(monkeypatch):
+    """At (7,3,BP4, m = 2) the first prune comes while expanding level 3,
+    which then canonicalizes its two deferred children.  A clock that
+    advances one second per reading runs out at the second of them, after
+    every parent of the level: the search says it was expanding level 3."""
+    import itertools
+    import time
+    import types
+
+    import bergeturan.search as search
+
+    n, r, spec = 7, 3, FamilySpec("bp", 4, 2)
+    # One reading per parent of levels 0..3.
+    parents = sum(len(reps) for level, reps, _, _ in search._levels(n, r, spec)
+                  if level <= 3)
+    readings = itertools.count()
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(
+        monotonic=lambda: float(next(readings)),
+        perf_counter=time.perf_counter,
+    ))
+    # Reading 0 sets the deadline; the first deferred child's reading is
+    # within it, the second's is not.
+    levels = search._levels(n, r, spec, time_budget=parents + 1.5)
+    with pytest.raises(SearchLimitError,
+                       match="time budget exceeded while expanding level 3$"):
+        for level, *_ in levels:
+            assert level <= 3
+    assert next(readings) == parents + 3
 
 
 @pytest.mark.parametrize("budget, level", [(100, 2), (200, 3)])
