@@ -30,6 +30,16 @@ every leaf it holds has an earlier explored counterpart with equal
 relabeled edges; the first least leaf is never skipped, and strings and
 relabelings are those of the full search, whatever automorphisms the
 caller gave.
+
+Twins, vertices with equal incidence lists (``twin_classes``), are never
+individualized: a cell of twins is left in input order, so the search
+need not find the automorphisms that only permute twins.  Every
+automorphism is, up to such a permutation, in the group that the given
+and found generators generate: its image of the first leaf is either
+explored, giving a generator, or pruned as the image of an explored
+leaf.  The generators and the swaps of twins together thus generate the
+whole automorphism group, which is all the symmetry the level search
+uses.
 """
 
 from __future__ import annotations
@@ -246,37 +256,17 @@ def is_connected(h: Hypergraph) -> bool:
     return count == h.n
 
 
-def interchangeable_classes(h: Hypergraph) -> list[int]:
-    """For each vertex, the id of its class of interchangeable vertices.
+def twin_classes(inc: list[list[int]]) -> list[int]:
+    """For each vertex, the id of its twin class, given each vertex's
+    incident instance ids (``Hypergraph.vertex_instances``).
 
-    u and w are interchangeable iff swapping them maps the edge multiset
-    onto itself, i.e. iff the instances through u but not w, less u, are
-    those through w but not u, less w, counting repeated instances.
-    Isolated vertices form one class.  The relation is transitive, since
-    (a c) = (a b)(b c)(a b), so each vertex is compared only with the
-    first vertex of each class of equal degree.  Class ids are numbered
-    in order of their first vertex.  The swaps inside the classes
-    generate a subgroup of Aut(h).
+    Twins have equal incidence lists: they lie in exactly the same
+    instances, so swapping two twins maps the edge multiset onto itself.
+    Isolated vertices are twins of one another.  Ids are numbered in
+    order of their first vertex.
     """
-    # links[v]: the instances through v, less v; in lexicographic order,
-    # since removing a common vertex keeps sorted tuples in order.
-    links: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
-    for e in h.edges:
-        for v in e:
-            links[v].append(tuple(u for u in e if u != v))
-    firsts: list[int] = []
-    cls = [0] * h.n
-    for v in range(h.n):
-        for c, u in enumerate(firsts):
-            if (len(links[u]) == len(links[v])
-                    and [f for f in links[u] if v not in f]
-                    == [f for f in links[v] if u not in f]):
-                cls[v] = c
-                break
-        else:
-            cls[v] = len(firsts)
-            firsts.append(v)
-    return cls
+    ids: dict[tuple[int, ...], int] = {}
+    return [ids.setdefault(tuple(lst), len(ids)) for lst in inc]
 
 
 def hyperedge_neighborhood(h: Hypergraph, s: Iterable[int]) -> list[int]:
@@ -385,10 +375,9 @@ def canonical_form(
     support = [v for v in range(h.n) if inc[v]]
     isolated = [v for v in range(h.n) if not inc[v]]
 
-    # Vertices with equal incidence lists lie in the same edges, so a cell
-    # of them can be ordered freely and is never individualized.
-    twin_ids: dict[tuple[int, ...], int] = {}
-    twin = [twin_ids.setdefault(tuple(lst), len(twin_ids)) for lst in inc]
+    # Twins lie in the same edges, so a cell of them can be ordered freely
+    # and is never individualized.
+    twin = twin_classes(inc)
     weight = [-(h.r + 1) ** (h.n - c) for c in range(h.n)]
     # A leaf's certificate: the sorted codes of its relabeled edges, an
     # edge's code being the sum of ``bit[label]`` over its vertices.  For
@@ -411,7 +400,7 @@ def canonical_form(
             leaves[0] += 1
             if leaves[0] > _CANONICAL_LEAF_BUDGET:
                 raise CanonicalSizeError("canonical search budget exceeded")
-            # Flatten: cells in order, input order inside interchangeable cells.
+            # Flatten: cells in order, input order inside twin cells.
             order = [v for cell in cells for v in cell]
             code = [0] * h.n
             for v, b in zip(order, bit):

@@ -15,23 +15,24 @@ the parent alone, so the answer for a pair is the same for every
 candidate edge containing it: each parent needs at most one walk per
 vertex pair, C(n, 2) in all, and a candidate's test ORs its pairs.
 
-Two vertices of a parent are interchangeable when swapping them maps its
-edge multiset onto itself.  The swaps inside the classes of such vertices
-generate a subgroup of the parent's automorphism group, under which the
-orbit of a candidate edge is the set of candidates with the same sorted
-tuple of class ids.  Automorphisms pass between levels in both
-directions (McKay, "Isomorph-free exhaustive generation", 1998).  Each
-representative carries the automorphisms known from its own
-canonicalization, conjugated into its canonical labeling; as a parent,
-those that move a vertex to another class merge class orbits, and any
-subgroup of the automorphism group gives orbits of isomorphic children.
-Only the first child of each merged orbit is tested and canonicalized;
-the others share its verdict and its key.  That child's canonical search
-starts from the parent automorphisms that fix the new edge (the class
-swaps that keep its vertices together and the carried generators that
-map it onto itself), which prune its search tree from the root.  Every
-candidate is still built and counted as tested, and every feasible one
-joins the reachability closure below.
+Symmetry has one source: the generators that ``canonical_form`` finds,
+together with the swaps of twins (vertices with equal incidence lists),
+which generate the whole automorphism group.  Automorphisms pass between
+levels in both directions (McKay, "Isomorph-free exhaustive generation",
+1998).  Each representative carries the generators known from its own
+canonicalization, conjugated into its canonical labeling.  As a parent,
+its candidate edges with the same sorted tuple of twin ids form one
+orbit of the twin swaps, and its generators merge those into the orbits
+of its automorphism group, whose children are isomorphic.  Only the
+first child of each orbit is tested and canonicalized; the others share
+its verdict and its key.  That child's canonical search starts from the
+parent's generators that map the new edge onto itself, which prune its
+search tree from the root, and the child carries them on with the ones
+it finds.  Representatives resumed from a checkpoint get their
+generators from one canonicalization each, so a resumed level has the
+same orbits as in a fresh run.  Every candidate is still built and
+counted as tested, and every feasible one joins the reachability closure
+below.
 
 Before that child is canonicalized it must pass McKay's cheap deletion
 test: no edge of the child may have a strictly larger invariant than the
@@ -86,9 +87,9 @@ from .hypergraph import (
     canonical_form,
     from_canonical_string,
     hyperedge_neighborhood,
-    interchangeable_classes,
     is_connected,
     relabel,
+    twin_classes,
 )
 
 # Each forbidden family kind and the detector's cycle mode (None: a path).
@@ -175,21 +176,21 @@ def _levels(
     tested so far.  A finished run ends with (last level, [], [], tested).
 
     ``start`` = (level, representatives, tested_so_far) resumes a run
-    whose earlier levels were already yielded; its representatives carry
-    no automorphisms.  Every parent expanded is free of the forbidden
-    family.  Of each orbit of candidate edges under the swaps of the
-    parent's interchangeable vertices and its carried generators, only
-    the first child in candidate order is tested and canonicalized,
-    seeded with the parent automorphisms that fix its new edge; every
-    candidate is still counted in ``tested``.  While every level so far
-    is complete (a fresh run, no parent pruned yet), a first child that
-    fails ``_passes_deletion_test`` is deferred instead: another parent's
-    child in its class passes.  The level that prunes its first parent
-    canonicalizes its deferred children at its end, and from then on the
-    test is off.  The time budget is checked before each parent and each
-    deferred child, and the node budget after each parent, so both hold
-    inside a level and the search stops at most one parent's candidates
-    past the node budget.
+    whose earlier levels were already yielded; each representative gets
+    its generators from one ``canonical_form`` call.  Every parent
+    expanded is free of the forbidden family.  Of each orbit of candidate
+    edges under the swaps of the parent's twins and its carried
+    generators, only the first child in candidate order is tested and
+    canonicalized, seeded with the generators that fix its new edge;
+    every candidate is still counted in ``tested``.  While every level
+    so far is complete (a fresh run, no parent pruned yet), a first
+    child that fails ``_passes_deletion_test`` is deferred instead:
+    another parent's child in its class passes.  The level that prunes
+    its first parent canonicalizes its deferred children at its end, and
+    from then on the test is off.  The time budget is checked before
+    each parent and each deferred child, and the node budget after each
+    parent, so both hold inside a level and the search stops at most one
+    parent's candidates past the node budget.
     """
     candidates = list(itertools.combinations(range(n), r))
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -200,41 +201,44 @@ def _levels(
                 f"time budget exceeded while expanding level {level}"
             )
 
+    # ``carried``: the known automorphisms of each representative, as
+    # vertex maps.
     if start is None:
         root = Hypergraph(n, r, ())
         level, current, tested = 0, [root], 0
         yield level, current, [canonical_form(root)[0]], tested
+        # The root's only automorphisms swap twins.
+        carried: list[list[list[int]]] = [[]]
     else:
         level, current, tested = start
+        # Resumed representatives are canonically labeled already, so the
+        # automorphisms their canonicalization finds are theirs as given.
+        carried = [[] for _ in current]
+        for h, autos in zip(current, carried):
+            canonical_form(h, autos)
     # Whether the current level holds every free class, which the
     # deletion test needs: true from a fresh root until a parent is pruned.
     complete = start is None
-    # Known automorphisms of each representative, as vertex maps; those
-    # resumed from a checkpoint carry none.
-    carried: list[list[list[int]]] = [[] for _ in current]
     while current:
         # Key -> (representative, its known automorphisms).
         found: dict[bytes, tuple[Hypergraph, list[list[int]]]] = {}
         # Per parent whose children the deletion test deferred: (parent,
-        # its swaps and generators, the new edges of those children).
-        deferred: list[tuple[Hypergraph, list, list, list[tuple[int, ...]]]] = []
-        for parent, autos in zip(current, carried):
+        # its generators, the new edges of those children).
+        deferred: list[tuple[Hypergraph, list, list[tuple[int, ...]]]] = []
+        for parent, gens in zip(current, carried):
             check_deadline()
             counts: dict[tuple[int, ...], int] = {}
             for e in parent.edges:
                 counts[e] = counts.get(e, 0) + 1
             violates_with = spec.child_violates(parent)
-            cls = interchangeable_classes(parent)
-            # The class orbits already cover every carried generator that
-            # keeps each vertex in its class.
-            gens = [g for g in autos if any(cls[g[v]] != cls[v] for v in range(n))]
+            twin = twin_classes(parent.vertex_instances())
             allowed = [e for e in candidates
                        if counts.get(e, 0) < spec.multiplicity_cap]
             # Orbit -> (edge, child) of its first child in candidate order,
             # or None if that child violates.
             firsts: dict[int, tuple[tuple[int, ...], Hypergraph] | None] = {}
             feasible_edges: list[tuple[int, ...]] = []
-            for e, orbit in zip(allowed, _candidate_orbits(allowed, cls, r, gens)):
+            for e, orbit in zip(allowed, _candidate_orbits(allowed, twin, r, gens)):
                 # Built for every tested child, not only the feasible ones:
                 # the traced benchmark counts tested children by these calls.
                 child = parent.with_edge(e)
@@ -254,7 +258,6 @@ def _levels(
                 # No superset of this representative can connect and span.
                 complete = False
                 continue
-            swaps = _class_swaps(parent, cls)
             degree = [0] * n
             for e in parent.edges:
                 for v in e:
@@ -267,19 +270,19 @@ def _levels(
                 if complete and not _passes_deletion_test(counts, degree, e):
                     later.append(e)
                 else:
-                    _admit(found, child, e, swaps, gens)
+                    _admit(found, child, e, gens)
             if later:
-                deferred.append((parent, swaps, gens, later))
+                deferred.append((parent, gens, later))
         if not complete:
             # A pruned parent may have held the only canonical deletion of
             # a deferred child's class.
-            for parent, swaps, gens, later in deferred:
+            for parent, gens, later in deferred:
                 for e in later:
                     check_deadline()
                     # Built directly: the traced benchmark counts tested
                     # children by their with_edge calls.
                     child = Hypergraph(n, r, tuple(sorted(parent.edges + (e,))))
-                    _admit(found, child, e, swaps, gens)
+                    _admit(found, child, e, gens)
         if not found:
             break
         level += 1
@@ -318,71 +321,54 @@ def _admit(
     found: dict[bytes, tuple[Hypergraph, list[list[int]]]],
     child: Hypergraph,
     e: tuple[int, ...],
-    swaps: list[tuple[int, int, list[int]]],
     gens: list[list[int]],
 ) -> None:
     """Canonicalize the child parent + e and keep it if its class is new.
 
-    Automorphisms of the parent that fix e setwise are automorphisms of
-    the child: the swaps inside a class that keep e's vertices together,
-    and the carried generators ``gens`` that map e onto itself.  They
-    seed the canonical search.
+    The parent's generators ``gens`` that map e onto itself are
+    automorphisms of the child.  They seed the canonical search, which
+    adds the ones it finds, and a new class carries all of them into its
+    canonical labeling.
     """
-    seeds = [g for u, w, g in swaps if (u in e) == (w in e)]
-    own = len(seeds)
-    seeds += [g for g in gens if sorted([g[v] for v in e]) == list(e)]
+    seeds = [g for g in gens if sorted([g[v] for v in e]) == list(e)]
     key, pi = canonical_form(child, seeds)
     if key not in found:
-        # Carry all but the swaps into the canonical labeling: those stay
-        # inside the child's own classes.
-        found[key] = (relabel(child, pi),
-                      [_conjugate(g, pi) for g in seeds[own:]])
+        found[key] = (relabel(child, pi), [_conjugate(g, pi) for g in seeds])
 
 
 def _candidate_orbits(
-    allowed: list[tuple[int, ...]], cls: list[int], r: int, gens: list[list[int]]
+    allowed: list[tuple[int, ...]], twin: list[int], r: int, gens: list[list[int]]
 ) -> list[int]:
-    """For each allowed edge, an id of its orbit under the swaps inside
-    the classes ``cls`` of interchangeable vertices and under ``gens``.
+    """For each allowed edge, an id of its orbit under the swaps of twins
+    (vertices with equal ids in ``twin``) and under ``gens``.
 
-    An edge's class orbit is the multiset of its class ids, coded in base
-    r + 1.  Each generator permutes the classes, so it maps a whole class
-    orbit onto one class orbit, and one edge per orbit shows where.
+    An edge's twin orbit is the multiset of its twin ids, coded in base
+    r + 1.  Each generator permutes the twin classes, so it maps a whole
+    twin orbit onto one twin orbit, and one edge per orbit shows where.
     """
-    pw = [(r + 1) ** c for c in cls]
+    pw = [(r + 1) ** c for c in twin]
     codes = [sum(map(pw.__getitem__, e)) for e in allowed]
-    if not gens:
+    # A generator acts on the codes only through the twin class of each
+    # vertex's image, so only distinct maps that move a class can merge.
+    moves = {tuple([pw[u] for u in g]) for g in gens} - {tuple(pw)}
+    if not moves:
         return codes
     edge_of = dict(zip(codes, allowed))
-    root = {c: c for c in edge_of}
-
-    def find(c: int) -> int:
-        while root[c] != c:
-            root[c] = root[root[c]]
-            c = root[c]
-        return c
-
-    for g in gens:
-        for c, e in edge_of.items():
-            a, b = find(c), find(sum([pw[g[v]] for v in e]))
-            if a != b:
-                root[b] = a
-    return [find(c) for c in codes]
-
-
-def _class_swaps(h: Hypergraph, cls: list[int]) -> list[tuple[int, int, list[int]]]:
-    """(u, w, the transposition of u and w as a vertex map) for each pair
-    of interchangeable vertices that lie in edges of h."""
-    members: dict[int, list[int]] = {}
-    for v in h.support():
-        members.setdefault(cls[v], []).append(v)
-    out = []
-    for group in members.values():
-        for u, w in itertools.combinations(group, 2):
-            g = list(range(h.n))
-            g[u], g[w] = w, u
-            out.append((u, w, g))
-    return out
+    # Code -> the first code of its orbit, by a search from each new one.
+    orbit: dict[int, int] = {}
+    for first in edge_of:
+        if first in orbit:
+            continue
+        orbit[first] = first
+        stack = [first]
+        while stack:
+            e = edge_of[stack.pop()]
+            for move in moves:
+                c = sum(map(move.__getitem__, e))
+                if c not in orbit:
+                    orbit[c] = first
+                    stack.append(c)
+    return [orbit[c] for c in codes]
 
 
 def _conjugate(g: list[int], pi: tuple[int, ...]) -> list[int]:
@@ -445,17 +431,45 @@ def _checkpoint_header(n: int, r: int, spec: FamilySpec) -> dict:
             "family": spec.label()}
 
 
-def _load_checkpoint(path: str, n: int, r: int, spec: FamilySpec) -> dict | None:
+def _load_checkpoint(
+    path: str, n: int, r: int, spec: FamilySpec
+) -> tuple[tuple[int, list[Hypergraph], int], int | None, list[bytes]] | None:
+    """(start for ``_levels``, best level, best keys) saved at ``path``, or
+    None if there is no such file.  Raises SearchLimitError naming the
+    file if it belongs to a different run or is malformed."""
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise SearchLimitError(f"checkpoint {path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SearchLimitError(f"checkpoint {path} is not a JSON object")
     header = {k: data.get(k) for k in ("version", "n", "r", "family")}
     if header != _checkpoint_header(n, r, spec):
         raise SearchLimitError(
             f"checkpoint {path} belongs to a different run: {header}"
         )
-    return data
+    kinds = {"level": int, "reps": list, "tested": int,
+             "best_level": (int, type(None)), "best_keys": list, "complete": bool}
+    bad = [k for k, kind in kinds.items()
+           if k not in data or not isinstance(data[k], kind)]
+    if bad:
+        raise SearchLimitError(
+            f"checkpoint {path} has no valid {', '.join(bad)}")
+    try:
+        reps = [] if data["complete"] else [
+            from_canonical_string(s) for s in data["reps"]]
+        best_keys = [k.encode("ascii") for k in data["best_keys"]]
+    except (ValueError, AttributeError) as exc:
+        raise SearchLimitError(f"checkpoint {path} is malformed: {exc}") from None
+    for h in reps:
+        if (h.n, h.r) != (n, r):
+            raise SearchLimitError(
+                f"checkpoint {path} holds a representative with n={h.n}, "
+                f"r={h.r}, not n={n}, r={r}")
+    return (data["level"], reps, data["tested"]), data["best_level"], best_keys
 
 
 def exact_ex_conn(
@@ -487,16 +501,9 @@ def exact_ex_conn(
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
     t0 = time.perf_counter()
-    best_level, best_keys = None, []
-    start = None
     ck = None if checkpoint_path is None else _load_checkpoint(
         checkpoint_path, n, r, spec)
-    if ck is not None:
-        best_level = ck["best_level"]
-        best_keys = [k.encode("ascii") for k in ck["best_keys"]]
-        reps = [] if ck["complete"] else [
-            from_canonical_string(s) for s in ck["reps"]]
-        start = (ck["level"], reps, ck["tested"])
+    start, best_level, best_keys = (None, None, []) if ck is None else ck
 
     for level, reps, keys, tested in _levels(
         n, r, spec, node_budget=node_budget, time_budget=time_budget,

@@ -244,6 +244,52 @@ def test_exact_checkpoint_flag(capsys, tmp_path):
     assert code == 0 and out1 == out2
 
 
+def _no_object(ck):
+    return [ck["level"], ck["reps"]]
+
+
+def _no_best_level(ck):
+    del ck["best_level"]
+    return ck
+
+
+def _complete_as_text(ck):
+    # Truthy, so it once made the run skip its representatives and
+    # report the search infeasible.
+    ck["complete"] = "no"
+    return ck
+
+
+def _rep_on_other_n(ck):
+    ck["reps"][0] = "8 3;0,1,2;0,3,4"
+    return ck
+
+
+def _rep_on_other_r(ck):
+    ck["reps"][0] = "7 4;0,1,2,3"
+    return ck
+
+
+@pytest.mark.parametrize("corrupt", [
+    _no_object, _no_best_level, _complete_as_text, _rep_on_other_n,
+    _rep_on_other_r])
+def test_exact_malformed_checkpoint_exits_2(capsys, tmp_path, corrupt):
+    """A checkpoint that is not a JSON object, lacks a field, has a field
+    of the wrong type, or holds a representative on another n or r stops
+    the run with an error that names the file, not with a traceback or a
+    wrong answer."""
+    path = tmp_path / "ck.json"
+    argv = ["exact", "7", "3", "--bp", "3", "--checkpoint", str(path)]
+    code, _, err = run(capsys, *argv, "--node-budget", "100")
+    assert code == 2 and "node budget" in err
+    ck = json.loads(path.read_text())
+    assert ck["reps"] and not ck["complete"]
+    path.write_text(json.dumps(corrupt(ck)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: checkpoint {path} "), err
+
+
 def test_report_bytes_are_pinned(capsys, tmp_path):
     # Every JSON report shape printed by the CLI, hashed as printed, so a
     # change to how a report is assembled shows here even when each field

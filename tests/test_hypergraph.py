@@ -17,9 +17,9 @@ from bergeturan.hypergraph import (
     from_text,
     hyperedge_neighborhood,
     induced_subhypergraph,
-    interchangeable_classes,
     is_connected,
     relabel,
+    twin_classes,
 )
 
 STAR73 = [[0, 1, 2], [0, 3, 4], [0, 5, 6]]
@@ -481,24 +481,22 @@ def test_canonical_form_matches_reference_on_symmetric_inputs():
             assert canonical_form(_fresh(g)) == reference_canonical_form(g), g
 
 
-def _interchangeable_swaps(h):
-    """The transpositions of interchangeable vertices, as vertex maps."""
+def _transpositions(n):
+    """Every transposition of 0..n-1, as a vertex map."""
     import itertools
 
-    cls = interchangeable_classes(h)
     swaps = []
-    for u, w in itertools.combinations(range(h.n), 2):
-        if cls[u] == cls[w]:
-            perm = list(range(h.n))
-            perm[u], perm[w] = w, u
-            swaps.append(perm)
+    for u, w in itertools.combinations(range(n), 2):
+        perm = list(range(n))
+        perm[u], perm[w] = w, u
+        swaps.append(perm)
     return swaps
 
 
 def test_seeded_canonical_form_matches_reference():
     """Known automorphisms only prune: seeded with random subsets of the
-    interchangeable transpositions and of the automorphisms an unseeded
-    call finds, canonical_form returns the reference string and
+    transpositions that fix h and of the automorphisms an unseeded call
+    finds, canonical_form returns the reference string and
     relabeling, and every map it leaves in the list is an automorphism."""
     from bergeturan.hypergraph import canonical_form
 
@@ -511,7 +509,8 @@ def test_seeded_canonical_form_matches_reference():
         want = reference_canonical_form(h)
         first = []
         assert canonical_form(_fresh(h), first) == want, h
-        pool = _interchangeable_swaps(h) + first
+        pool = [g for g in _transpositions(h.n)
+                if relabel(h, tuple(g)) == h] + first
         seeds = [g for g in pool if rng.random() < 0.5]
         given = len(seeds)
         seeded += given > 0
@@ -522,25 +521,28 @@ def test_seeded_canonical_form_matches_reference():
     assert seeded > 1000 and found > 0, (seeded, found)
 
 
-def test_interchangeable_classes_are_the_fixing_transpositions():
-    """u and w share a class iff swapping them fixes the edge multiset,
-    on random multi-hypergraphs with repeated instances and isolated
-    vertices; class ids are numbered in order of their first vertex."""
+def test_twin_classes_are_equal_incidence_lists():
+    """u and w share a twin id iff they lie in the same instances, on
+    random multi-hypergraphs with repeated instances and isolated
+    vertices; ids are numbered in order of their first vertex, and
+    swapping two twins fixes the edge multiset."""
     import itertools
 
     corpus = _random_multi_corpus() + _symmetric_corpus()
-    fixing = 0
+    pairs = 0
     for h in corpus:
-        cls = interchangeable_classes(h)
-        firsts = list(dict.fromkeys(cls))
+        inc = h.vertex_instances()
+        twin = twin_classes(inc)
+        firsts = list(dict.fromkeys(twin))
         assert firsts == list(range(len(firsts))), h
         for u, w in itertools.combinations(range(h.n), 2):
-            perm = list(range(h.n))
-            perm[u], perm[w] = w, u
-            fixes = relabel(h, tuple(perm)) == h
-            assert (cls[u] == cls[w]) == fixes, (h, u, w)
-            fixing += fixes
-    assert fixing > 1000, fixing
+            assert (twin[u] == twin[w]) == (inc[u] == inc[w]), (h, u, w)
+            if twin[u] == twin[w]:
+                perm = list(range(h.n))
+                perm[u], perm[w] = w, u
+                assert relabel(h, tuple(perm)) == h, (h, u, w)
+                pairs += 1
+    assert pairs > 1000, pairs
 
 
 @pytest.mark.parametrize("name", ["star K_{1,11}", "sunflower(12, 3)"])

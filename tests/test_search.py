@@ -93,43 +93,63 @@ def test_child_violates_matches_full_detector():
     assert min(seen.values()) > 500 and repeated > 500, (seen, repeated)
 
 
-@pytest.mark.parametrize("n, r, spec", [
-    (8, 3, FamilySpec("bp", 4)),
-    (8, 3, FamilySpec("bc_at_least", 3)),
-    (7, 3, FamilySpec("bp", 4, 2)),
-    (5, 2, FamilySpec("bp", 5, 2)),
-])
-def test_every_child_of_an_orbit_has_its_first_childs_key(n, r, spec, monkeypatch):
-    """Candidates whose sorted interchangeable-class ids agree give
-    isomorphic children, and so do class orbits that a carried generator
-    merges, so the search tests and canonicalizes only the first child of
-    each merged orbit: on every parent it expands, at m = 1 and m = 2,
-    every later child's key is the first child's.  Every carried generator
-    is an automorphism of its parent, every seed an automorphism of the
-    child it seeds, and a seeded call returns the unseeded result."""
+def _automorphisms(h):
+    """Every vertex map (old -> new) that maps h onto itself, by brute
+    force over all n! permutations."""
     import itertools
+
+    degree = [0] * h.n
+    for e in h.edges:
+        for v in e:
+            degree[v] += 1
+    return [p for p in itertools.permutations(range(h.n))
+            if all(degree[p[v]] == d for v, d in enumerate(degree))
+            and sorted([tuple(sorted([p[v] for v in e])) for e in h.edges])
+            == list(h.edges)]
+
+
+@pytest.mark.parametrize("n, r, spec, budget", [
+    (6, 2, FamilySpec("bp", 6), None),
+    (6, 2, FamilySpec("bp", 6), 600),
+    (5, 2, FamilySpec("bp", 5, 2), None),
+    (6, 3, FamilySpec("bp", 5), None),
+    (6, 3, FamilySpec("bc_at_least", 3), None),
+    (6, 4, FamilySpec("bp", 5, 2), None),
+])
+def test_every_child_of_an_orbit_has_its_first_childs_key(
+        n, r, spec, budget, tmp_path, monkeypatch):
+    """The search tests and canonicalizes only the first child of each
+    orbit of candidate edges under the twin swaps and the carried
+    generators, so on every parent it expands, at m = 1 and m = 2, every
+    later child's key is the first child's.  Those orbits are exactly the
+    orbits of the parent's automorphism group, found by brute force over
+    all n! vertex maps, in a fresh run and in one resumed from a
+    checkpoint (``budget``).  Every carried generator is an automorphism
+    of its parent, every seed an automorphism of the child it seeds, and
+    a seeded call returns the unseeded result."""
+    import itertools
+    import json
 
     import bergeturan.search as search
     from bergeturan.hypergraph import canonical_form, canonical_key, relabel
 
-    expanded = []   # (parent, its allowed candidates, their orbit ids)
-    parents = []
-    classes = search.interchangeable_classes
+    start = None
+    if budget is not None:
+        path = tmp_path / "ck.json"
+        with pytest.raises(SearchLimitError, match="node budget"):
+            exact_ex_conn(n, r, spec, node_budget=budget, checkpoint_path=str(path))
+        ck = json.loads(path.read_text())
+        start = (ck["level"], [from_canonical_string(k) for k in ck["reps"]],
+                 ck["tested"])
+    expanded = []   # (allowed candidates, their orbit ids, generators, merges)
     orbits_of = search._candidate_orbits
     canon = search.canonical_form
     seeded = []
 
-    def record_classes(h):
-        parents.append(h)
-        return classes(h)
-
-    def record_orbits(allowed, cls, r, gens):
-        parent = parents[-1]
-        for g in gens:
-            assert relabel(parent, tuple(g)) == parent, (parent, g)
-        orbits = orbits_of(allowed, cls, r, gens)
-        merges = len(set(orbits_of(allowed, cls, r, []))) - len(set(orbits))
-        expanded.append((parent, allowed, orbits, merges))
+    def record_orbits(allowed, twin, r, gens):
+        orbits = orbits_of(allowed, twin, r, gens)
+        merges = len(set(orbits_of(allowed, twin, r, []))) - len(set(orbits))
+        expanded.append((allowed, orbits, [list(g) for g in gens], merges))
         return orbits
 
     def record_canon(h, automorphisms=None):
@@ -138,22 +158,32 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(n, r, spec, monkeypatc
         seeded.append((h, seeds, out))
         return out
 
-    monkeypatch.setattr(search, "interchangeable_classes", record_classes)
     monkeypatch.setattr(search, "_candidate_orbits", record_orbits)
     monkeypatch.setattr(search, "canonical_form", record_canon)
-    for _ in search._levels(n, r, spec):
-        pass
+    # The representatives in the order they are expanded.
+    parents = [] if start is None else list(start[1])
+    for _, reps, _, _ in search._levels(n, r, spec, start=start):
+        parents += reps
+    assert len(parents) == len(expanded)
     skipped = 0
-    for parent, allowed, orbits, _ in expanded:
+    for parent, (allowed, orbits, gens, _) in zip(parents, expanded):
         assert allowed == [e for e in itertools.combinations(range(n), r)
                            if parent.multiplicity(e) < spec.multiplicity_cap]
+        for g in gens:
+            assert relabel(parent, tuple(g)) == parent, (parent, g)
         first = {}
+        members = {}
         for e, orbit in zip(allowed, orbits):
             key = canonical_key(parent.with_edge(e))
             skipped += orbit in first
             assert first.setdefault(orbit, key) == key, (parent, e)
+            members.setdefault(orbit, set()).add(e)
+        aut = _automorphisms(parent)
+        want = {frozenset(tuple(sorted([p[v] for v in e])) for p in aut)
+                for e in allowed}
+        assert {frozenset(m) for m in members.values()} == want, parent
     merges = sum(m for *_, m in expanded)
-    assert skipped > 500 and merges > 50, (skipped, merges)
+    assert skipped > 100 and merges > 20, (skipped, merges)
     for h, seeds, out in seeded:
         assert out == canonical_form(h), h
         for g in seeds or []:
@@ -579,30 +609,33 @@ def test_checkpoint_resume_matches_fresh_run(tmp_path, budget, level):
 
 
 def test_checkpoint_resume_with_carried_generators(tmp_path, monkeypatch):
-    """Representatives resumed from a checkpoint carry no generators, so
-    their candidates fall back to class orbits; the levels after them
-    carry generators again.  The outcome is the fresh run's."""
+    """Representatives resumed from a checkpoint get their generators from
+    one canonicalization each, so every parent of the resumed levels has
+    as many candidate orbits as in the fresh run, and the outcome is the
+    fresh run's."""
     import bergeturan.search as search
 
-    merges = []
+    counts = []     # orbits per expanded parent, in expansion order
     orbits_of = search._candidate_orbits
 
-    def record(allowed, cls, r, gens):
-        orbits = orbits_of(allowed, cls, r, gens)
-        merges.append(len(set(orbits_of(allowed, cls, r, []))) - len(set(orbits)))
+    def record(allowed, twin, r, gens):
+        orbits = orbits_of(allowed, twin, r, gens)
+        counts.append(len(set(orbits)))
         return orbits
 
     monkeypatch.setattr(search, "_candidate_orbits", record)
-    spec = FamilySpec("bp", 4)
-    fresh = exact_ex_conn(8, 3, spec).stable_json()
-    in_fresh = sum(merges)
+    n, r, spec = 10, 3, FamilySpec("bp", 4)
+    fresh = exact_ex_conn(n, r, spec, force=True).stable_json()
+    in_fresh = counts.copy()
     path = str(tmp_path / "ck.json")
-    with pytest.raises(SearchLimitError,
-                       match="exceeded while expanding level 3$"):
-        exact_ex_conn(8, 3, spec, node_budget=300, checkpoint_path=path)
-    merges.clear()
-    assert exact_ex_conn(8, 3, spec, checkpoint_path=path).stable_json() == fresh
-    assert 0 < sum(merges) < in_fresh, (merges, in_fresh)
+    with pytest.raises(SearchLimitError, match="node budget 3000 exceeded"):
+        exact_ex_conn(n, r, spec, force=True, node_budget=3000,
+                      checkpoint_path=path)
+    counts.clear()
+    resumed = exact_ex_conn(n, r, spec, force=True, checkpoint_path=path)
+    assert resumed.stable_json() == fresh
+    assert 0 < len(counts) < len(in_fresh)
+    assert counts == in_fresh[-len(counts):], (sum(counts), sum(in_fresh))
 
 
 def test_checkpoint_rejects_mismatched_run(tmp_path):
