@@ -37,17 +37,17 @@ below.
 Before that child is canonicalized it must pass McKay's cheap deletion
 test: no edge of the child may have a strictly larger invariant than the
 new edge, an edge's invariant being its vertices' degrees in descending
-order, then its multiplicity.  A child that fails is deferred, not
-canonicalized.  Its class is still found if the level holds every free
-class and expands all of them: deleting an edge m of largest invariant
-leaves a free graph isomorphic to a representative of the level, whose
-first child on the orbit of m's image is isomorphic to the deferred
-child and passes.  The next level then holds every free class too.  So
-the test is on from the root of a fresh run until the prune below cuts
-a parent; that level canonicalizes its deferred children at its end, as
-if they had never been deferred, and the test stays off for the rest of
-the run, and for all of a run resumed from a checkpoint.  Levels, keys
-and counts are those of the search without the test.
+order, then its multiplicity.  A child that fails is skipped.  Its class
+is still found if the level holds every free class and expands all of
+them: deleting an edge m of largest invariant leaves a free graph
+isomorphic to a representative of the level, whose first child on the
+orbit of m's image is isomorphic to the skipped child and passes.  The
+next level then holds every free class too.  So a level first expands
+every parent and applies the prune below, then canonicalizes the kept
+parents' first children, testing them only while no parent has been
+pruned since the root of a fresh run; a run resumed from a checkpoint
+never tests.  Levels, keys and counts are those of the search without
+the test.
 
 Connectivity is NOT hereditary and is therefore only evaluated, never
 used to prune directly; instead a reachability-potential prune discards
@@ -182,15 +182,16 @@ def _levels(
     edges under the swaps of the parent's twins and its carried
     generators, only the first child in candidate order is tested and
     canonicalized, seeded with the generators that fix its new edge;
-    every candidate is still counted in ``tested``.  While every level
-    so far is complete (a fresh run, no parent pruned yet), a first
-    child that fails ``_passes_deletion_test`` is deferred instead:
-    another parent's child in its class passes.  The level that prunes
-    its first parent canonicalizes its deferred children at its end, and
-    from then on the test is off.  The time budget is checked before
-    each parent and each deferred child, and the node budget after each
-    parent, so both hold inside a level and the search stops at most one
-    parent's candidates past the node budget.
+    every candidate is still counted in ``tested``.  Each level takes two
+    passes: the expand pass tests every parent's candidates and applies
+    the reachability prune, and the admit pass canonicalizes the first
+    children of the kept parents.  A first child that fails
+    ``_passes_deletion_test`` is skipped while no parent has been pruned
+    in a fresh run, this level's expand pass included: another parent's
+    child in its class passes.  The time budget is checked before each
+    parent of either pass, and the node budget after each parent of the
+    expand pass, so both hold inside a level and the search stops at
+    most one parent's candidates past the node budget.
     """
     candidates = list(itertools.combinations(range(n), r))
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -220,11 +221,9 @@ def _levels(
     # deletion test needs: true from a fresh root until a parent is pruned.
     complete = start is None
     while current:
-        # Key -> (representative, its known automorphisms).
-        found: dict[bytes, tuple[Hypergraph, list[list[int]]]] = {}
-        # Per parent whose children the deletion test deferred: (parent,
-        # its generators, the new edges of those children).
-        deferred: list[tuple[Hypergraph, list, list[tuple[int, ...]]]] = []
+        # Per parent not pruned: (parent, its generators, its edge counts,
+        # the new edge of each feasible orbit's first child).
+        kept: list[tuple[Hypergraph, list, dict, list[tuple[int, ...]]]] = []
         for parent, gens in zip(current, carried):
             check_deadline()
             counts: dict[tuple[int, ...], int] = {}
@@ -234,17 +233,17 @@ def _levels(
             twin = twin_classes(parent.vertex_instances())
             allowed = [e for e in candidates
                        if counts.get(e, 0) < spec.multiplicity_cap]
-            # Orbit -> (edge, child) of its first child in candidate order,
+            # Orbit -> the new edge of its first child in candidate order,
             # or None if that child violates.
-            firsts: dict[int, tuple[tuple[int, ...], Hypergraph] | None] = {}
+            firsts: dict[int, tuple[int, ...] | None] = {}
             feasible_edges: list[tuple[int, ...]] = []
             for e, orbit in zip(allowed, _candidate_orbits(allowed, twin, r, gens)):
-                # Built for every tested child, not only the feasible ones:
-                # the traced benchmark counts tested children by these calls.
-                child = parent.with_edge(e)
+                # Unused, but built for every tested child: the traced
+                # benchmark counts tested children by these calls.
+                parent.with_edge(e)
                 tested += 1
                 if orbit not in firsts:
-                    firsts[orbit] = None if violates_with(e) else (e, child)
+                    firsts[orbit] = None if violates_with(e) else e
                 if firsts[orbit] is not None:
                     feasible_edges.append(e)
             if node_budget is not None and tested > node_budget:
@@ -258,31 +257,19 @@ def _levels(
                 # No superset of this representative can connect and span.
                 complete = False
                 continue
+            kept.append((parent, gens, counts,
+                         [e for e in firsts.values() if e is not None]))
+        # Key -> (representative, its known automorphisms).
+        found: dict[bytes, tuple[Hypergraph, list[list[int]]]] = {}
+        for parent, gens, counts, first_edges in kept:
+            check_deadline()
             degree = [0] * n
             for e in parent.edges:
                 for v in e:
                     degree[v] += 1
-            later: list[tuple[int, ...]] = []
-            for first in firsts.values():
-                if first is None:
-                    continue
-                e, child = first
-                if complete and not _passes_deletion_test(counts, degree, e):
-                    later.append(e)
-                else:
-                    _admit(found, child, e, gens)
-            if later:
-                deferred.append((parent, gens, later))
-        if not complete:
-            # A pruned parent may have held the only canonical deletion of
-            # a deferred child's class.
-            for parent, gens, later in deferred:
-                for e in later:
-                    check_deadline()
-                    # Built directly: the traced benchmark counts tested
-                    # children by their with_edge calls.
-                    child = Hypergraph(n, r, tuple(sorted(parent.edges + (e,))))
-                    _admit(found, child, e, gens)
+            for e in first_edges:
+                if not complete or _passes_deletion_test(counts, degree, e):
+                    _admit(found, parent, e, gens)
         if not found:
             break
         level += 1
@@ -319,7 +306,7 @@ def _passes_deletion_test(
 
 def _admit(
     found: dict[bytes, tuple[Hypergraph, list[list[int]]]],
-    child: Hypergraph,
+    parent: Hypergraph,
     e: tuple[int, ...],
     gens: list[list[int]],
 ) -> None:
@@ -328,8 +315,11 @@ def _admit(
     The parent's generators ``gens`` that map e onto itself are
     automorphisms of the child.  They seed the canonical search, which
     adds the ones it finds, and a new class carries all of them into its
-    canonical labeling.
+    canonical labeling.  The child is built directly, not by
+    ``with_edge``: the traced benchmark counts tested children by those
+    calls.
     """
+    child = Hypergraph(parent.n, parent.r, tuple(sorted(parent.edges + (e,))))
     seeds = [g for g in gens if sorted([g[v] for v in e]) == list(e)]
     key, pi = canonical_form(child, seeds)
     if key not in found:
@@ -451,10 +441,15 @@ def _load_checkpoint(
         raise SearchLimitError(
             f"checkpoint {path} belongs to a different run: {header}"
         )
-    kinds = {"level": int, "reps": list, "tested": int,
-             "best_level": (int, type(None)), "best_keys": list, "complete": bool}
+    # Exact types, since a bool is an int to isinstance; counts are >= 0.
+    kinds = {"level": {int}, "reps": {list}, "tested": {int},
+             "best_level": {int, type(None)}, "best_keys": {list},
+             "complete": {bool}}
     bad = [k for k, kind in kinds.items()
-           if k not in data or not isinstance(data[k], kind)]
+           if k not in data or type(data[k]) not in kind
+           or type(data[k]) is int and data[k] < 0]
+    if not bad and (data["best_level"] or 0) > data["level"]:
+        bad = ["best_level"]
     if bad:
         raise SearchLimitError(
             f"checkpoint {path} has no valid {', '.join(bad)}")
@@ -465,10 +460,11 @@ def _load_checkpoint(
     except (ValueError, AttributeError) as exc:
         raise SearchLimitError(f"checkpoint {path} is malformed: {exc}") from None
     for h in reps:
-        if (h.n, h.r) != (n, r):
+        if (h.n, h.r, h.num_edges()) != (n, r, data["level"]):
             raise SearchLimitError(
                 f"checkpoint {path} holds a representative with n={h.n}, "
-                f"r={h.r}, not n={n}, r={r}")
+                f"r={h.r}, {h.num_edges()} instances, not n={n}, r={r}, "
+                f"{data['level']} instances")
     return (data["level"], reps, data["tested"]), data["best_level"], best_keys
 
 

@@ -270,14 +270,55 @@ def _rep_on_other_r(ck):
     return ck
 
 
+def _level_as_bool(ck):
+    # An int to isinstance: it once resumed to value 2 (the answer is 3).
+    ck["level"] = True
+    return ck
+
+
+def _negative_level(ck):
+    # It once resumed to value -2.
+    ck["level"] = -3
+    return ck
+
+
+def _negative_tested(ck):
+    # It once resumed to nodes_explored -837.
+    ck["tested"] = -1000
+    return ck
+
+
+def _best_level_as_bool(ck):
+    ck["best_level"] = True
+    return ck
+
+
+def _negative_best_level(ck):
+    ck["best_level"] = -1
+    return ck
+
+
+def _best_level_above_level(ck):
+    ck["best_level"] = ck["level"] + 1
+    return ck
+
+
+def _rep_with_one_instance_less(ck):
+    ck["reps"][0] = ";".join(ck["reps"][0].split(";")[:-1])
+    return ck
+
+
 @pytest.mark.parametrize("corrupt", [
     _no_object, _no_best_level, _complete_as_text, _rep_on_other_n,
-    _rep_on_other_r])
+    _rep_on_other_r, _level_as_bool, _negative_level, _negative_tested,
+    _best_level_as_bool, _negative_best_level, _best_level_above_level,
+    _rep_with_one_instance_less])
 def test_exact_malformed_checkpoint_exits_2(capsys, tmp_path, corrupt):
     """A checkpoint that is not a JSON object, lacks a field, has a field
-    of the wrong type, or holds a representative on another n or r stops
-    the run with an error that names the file, not with a traceback or a
-    wrong answer."""
+    of the wrong type or a negative count, a best level above its level,
+    or holds a representative on another n or r or with another instance
+    count than its level stops the run with an error that names the
+    file, not with a traceback or a wrong answer."""
     path = tmp_path / "ck.json"
     argv = ["exact", "7", "3", "--bp", "3", "--checkpoint", str(path)]
     code, _, err = run(capsys, *argv, "--node-budget", "100")

@@ -213,10 +213,10 @@ def _levels_with_and_without_deletion_test(n, r, spec, **kw):
 
 
 def test_deletion_test_keeps_every_level():
-    """The deletion test defers most first children without changing any
+    """The deletion test skips most first children without changing any
     level's keys or tested count, at m = 1 and m = 2, for paths and both
-    cycle modes, on whole graph populations, and where a prune makes a
-    level canonicalize its deferred children after all."""
+    cycle modes, on whole graph populations, and where a prune turns the
+    test off from its level on."""
     grid = [
         (8, 3, FamilySpec("bp", 4)),
         (10, 3, FamilySpec("bp", 4)),
@@ -239,31 +239,31 @@ def test_deletion_test_keeps_every_level():
     assert skipped > 3000, skipped
 
 
-def test_a_prune_readmits_the_deferred_children(monkeypatch):
-    """At (7,3,BP4, m = 2), level 3 defers children before its first
-    parent is pruned, and some of the classes it reaches come only from
-    those children: they are canonicalized at the end of the level."""
+def test_a_pruning_level_applies_no_deletion_test(monkeypatch):
+    """At (7,3,BP4, m = 2) the deletion test runs at every level before
+    the first one whose expand pass prunes a parent, and at none from it
+    on, since a pruned parent may have held the only passing child of a
+    class.  Every level equals the search without the test."""
     import bergeturan.search as search
-    from bergeturan.hypergraph import Hypergraph, canonical_key
 
     n, r, spec = 7, 3, FamilySpec("bp", 4, 2)
-    passes = search._passes_deletion_test
-    seen = []   # (passed, the child's key), since the last level
-
-    def record(counts, degree, e):
-        edges = [f for f, c in counts.items() for _ in range(c)] + [e]
-        key = canonical_key(Hypergraph(n, r, tuple(sorted(edges))))
-        seen.append((passes(counts, degree, e), key))
-        return seen[-1][0]
-
-    monkeypatch.setattr(search, "_passes_deletion_test", record)
-    readmitted = {}
-    for level, _, keys, _ in search._levels(n, r, spec):
-        passed = {key for ok, key in seen if ok}
-        deferred = {key for ok, key in seen if not ok}
-        readmitted[level] = deferred & set(keys) - passed
-        seen.clear()
-    assert readmitted[4], readmitted
+    passes, connected = search._passes_deletion_test, search.is_connected
+    calls = []  # "test" or "prune", since the last level was yielded
+    monkeypatch.setattr(search, "_passes_deletion_test",
+                        lambda *a: calls.append("test") or passes(*a))
+    # In the level search, is_connected only tests a parent's closure.
+    monkeypatch.setattr(search, "is_connected",
+                        lambda h: connected(h) or calls.append("prune") or False)
+    expanded = []   # per level expanded: (deletion tests, prunes)
+    for i, _ in enumerate(search._levels(n, r, spec)):
+        if i:
+            expanded.append((calls.count("test"), calls.count("prune")))
+        calls.clear()
+    first = next(level for level, (_, prunes) in enumerate(expanded) if prunes)
+    assert first == 3, expanded
+    assert all(tests for tests, _ in expanded[:first]), expanded
+    assert not any(tests for tests, _ in expanded[first:]), expanded
+    monkeypatch.undo()
     levels, _, forced, _ = _levels_with_and_without_deletion_test(n, r, spec)
     assert levels == forced
 
@@ -275,7 +275,7 @@ def test_deletion_test_is_off_after_a_checkpoint_resume(tmp_path, budget, level)
     canonical_form calls are those of the search without the test, and
     its outcome is the fresh run's.  The fresh run prunes its first
     parent while expanding level 3, so at level 2 the test would still
-    defer children."""
+    skip children."""
     import json
 
     import bergeturan.search as search
@@ -529,6 +529,38 @@ def test_node_budget_holds_inside_a_level(monkeypatch, workers):
     assert 300 < len(tested) <= 300 + comb(8, 3)
 
 
+def test_with_edge_calls_count_the_nodes_explored(monkeypatch, tmp_path):
+    """The traced benchmark counts tested children by their
+    ``Hypergraph.with_edge`` calls, so the search makes exactly one per
+    child counted in ``nodes_explored``: where the prune cuts parents
+    (from level 3 of (10,3,BP4)), where it cuts them while the deletion
+    test is on (7,3,BP4, m = 2), for a cycle family, and in a resumed
+    run, which calls it only for the children it tests itself."""
+    import json
+
+    from bergeturan.hypergraph import Hypergraph
+
+    calls = []
+    with_edge = Hypergraph.with_edge
+    monkeypatch.setattr(Hypergraph, "with_edge",
+                        lambda h, e: calls.append(e) or with_edge(h, e))
+    for n, r, spec in [(10, 3, FamilySpec("bp", 4)),
+                       (7, 3, FamilySpec("bp", 4, 2)),
+                       (7, 3, FamilySpec("bc_at_least", 4))]:
+        calls.clear()
+        out = exact_ex_conn(n, r, spec, force=True)
+        assert len(calls) == out.nodes_explored, (n, r, spec)
+    path = tmp_path / "ck.json"
+    spec = FamilySpec("bp", 4)
+    with pytest.raises(SearchLimitError, match="node budget 3000 exceeded"):
+        exact_ex_conn(10, 3, spec, force=True, node_budget=3000,
+                      checkpoint_path=str(path))
+    before = json.loads(path.read_text())["tested"]
+    calls.clear()
+    out = exact_ex_conn(10, 3, spec, force=True, checkpoint_path=str(path))
+    assert 0 < before and len(calls) == out.nodes_explored - before
+
+
 def test_time_budget(tmp_path):
     with pytest.raises(SearchLimitError):
         exact_ex_conn(9, 3, FamilySpec("bp", 4), time_budget=0.0)
@@ -551,43 +583,47 @@ def test_time_budget_holds_inside_a_level(monkeypatch, tmp_path):
         perf_counter=time.perf_counter,
     ))
     path = tmp_path / "ck.json"
-    # Readings: 0 sets the deadline; 1 (root), 2 (level 1), 3 (the first
-    # level-2 parent) are within it; 4 (the second) is not.
+    # Readings: 0 sets the deadline.  Each kept parent reads the clock
+    # once per pass: 1-2 (root) and 3-4 (level 1) are within it, and so
+    # is 5 (the first level-2 parent's expand pass); 6 (the second) is not.
     with pytest.raises(SearchLimitError, match="while expanding level 2"):
-        exact_ex_conn(7, 3, FamilySpec("bp", 3), time_budget=3.5,
+        exact_ex_conn(7, 3, FamilySpec("bp", 3), time_budget=5.5,
                       checkpoint_path=str(path))
     ck = json.loads(path.read_text())
     assert ck["level"] == 2 and len(ck["reps"]) > 1
 
 
-def test_time_budget_holds_while_deferred_children_are_readmitted(monkeypatch):
-    """At (7,3,BP4, m = 2) the first prune comes while expanding level 3,
-    which then canonicalizes its two deferred children.  A clock that
-    advances one second per reading runs out at the second of them, after
-    every parent of the level: the search says it was expanding level 3."""
-    import itertools
+def test_time_budget_holds_in_the_admission_pass(monkeypatch):
+    """A clock that advances one second per reading and runs out just
+    after a level's expand pass stops the search at the first reading of
+    that level's admit pass, and the error names the level.  At
+    (7,3,BP4, m = 2) level 2 prunes nothing and level 3 prunes first."""
     import time
     import types
 
     import bergeturan.search as search
 
     n, r, spec = 7, 3, FamilySpec("bp", 4, 2)
-    # One reading per parent of levels 0..3.
-    parents = sum(len(reps) for level, reps, _, _ in search._levels(n, r, spec)
-                  if level <= 3)
-    readings = itertools.count()
+    readings = []   # reading i returns i
     monkeypatch.setattr(search, "time", types.SimpleNamespace(
-        monotonic=lambda: float(next(readings)),
+        monotonic=lambda: float(readings.append(None) or len(readings) - 1),
         perf_counter=time.perf_counter,
     ))
-    # Reading 0 sets the deadline; the first deferred child's reading is
-    # within it, the second's is not.
-    levels = search._levels(n, r, spec, time_budget=parents + 1.5)
-    with pytest.raises(SearchLimitError,
-                       match="time budget exceeded while expanding level 3$"):
-        for level, *_ in levels:
-            assert level <= 3
-    assert next(readings) == parents + 3
+    for stop in (2, 3):
+        readings.clear()
+        for level, reps, _, _ in search._levels(n, r, spec, time_budget=1e9):
+            if level == stop:
+                # The expand pass reads the clock once per parent.
+                last_expand = len(readings) + len(reps) - 1
+                break
+        readings.clear()
+        levels = search._levels(n, r, spec, time_budget=last_expand + 0.5)
+        with pytest.raises(
+                SearchLimitError,
+                match=f"time budget exceeded while expanding level {stop}$"):
+            for level, *_ in levels:
+                assert level <= stop
+        assert len(readings) == last_expand + 2
 
 
 @pytest.mark.parametrize("budget, level", [(100, 2), (200, 3)])
