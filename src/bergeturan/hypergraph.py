@@ -494,18 +494,6 @@ def relabel(h: Hypergraph, pi: dict[int, int] | tuple[int, ...]) -> Hypergraph:
     return Hypergraph.build(h.n, h.r, [[pi[v] for v in e] for e in h.edges])
 
 
-def canonical_relabeled(h: Hypergraph) -> Hypergraph:
-    """The canonically labeled representative of h's isomorphism class."""
-    _, pi = canonical_form(h)
-    return relabel(h, pi)
-
-
-def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
-    if a.n != b.n or a.r != b.r or len(a.edges) != len(b.edges):
-        return False
-    return canonical_key(a) == canonical_key(b)
-
-
 # ----------------------------------------------------------------------
 # Iteration helpers
 # ----------------------------------------------------------------------

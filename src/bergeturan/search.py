@@ -171,13 +171,17 @@ def _levels(
     time_budget: float | None = None,
     start: tuple[int, list[Hypergraph], int] | None = None,
 ) -> Iterator[tuple[int, list[Hypergraph], list[bytes], int]]:
-    """The level BFS: yields (level, reps, keys, tested) for each level,
-    with the canonical representatives sorted by key and the children
-    tested so far.  A finished run ends with (last level, [], [], tested).
+    """The level BFS: yields (level, reps, keys, tested) for each level
+    before expanding it, with the canonical representatives sorted by key
+    and the children tested so far.  A finished run ends with (last
+    level, [], [], tested).
 
-    ``start`` = (level, representatives, tested_so_far) resumes a run
-    whose earlier levels were already yielded; each representative gets
-    its generators from one ``canonical_form`` call.  Every parent
+    The first level is the empty root, or ``start`` = (level,
+    representatives, tested_so_far) to resume a run there.  Each of its
+    representatives is canonicalized once, which gives its key and its
+    generators, and it is yielded with those keys like every other level,
+    so a caller can check that a resumed level lists canonical forms in
+    ascending key order before anything is expanded.  Every parent
     expanded is free of the forbidden family.  Of each orbit of candidate
     edges under the swaps of the parent's twins and its carried
     generators, only the first child in candidate order is tested and
@@ -202,25 +206,17 @@ def _levels(
                 f"time budget exceeded while expanding level {level}"
             )
 
+    level, current, tested = start or (0, [Hypergraph(n, r, ())], 0)
     # ``carried``: the known automorphisms of each representative, as
-    # vertex maps.
-    if start is None:
-        root = Hypergraph(n, r, ())
-        level, current, tested = 0, [root], 0
-        yield level, current, [canonical_form(root)[0]], tested
-        # The root's only automorphisms swap twins.
-        carried: list[list[list[int]]] = [[]]
-    else:
-        level, current, tested = start
-        # Resumed representatives are canonically labeled already, so the
-        # automorphisms their canonicalization finds are theirs as given.
-        carried = [[] for _ in current]
-        for h, autos in zip(current, carried):
-            canonical_form(h, autos)
+    # vertex maps.  Start representatives are canonically labeled (a
+    # resume checks the keys), so the automorphisms found are theirs.
+    carried: list[list[list[int]]] = [[] for _ in current]
+    keys = [canonical_form(h, autos)[0] for h, autos in zip(current, carried)]
     # Whether the current level holds every free class, which the
     # deletion test needs: true from a fresh root until a parent is pruned.
     complete = start is None
     while current:
+        yield level, current, keys, tested
         # Per parent not pruned: (parent, its generators, its edge counts,
         # the new edge of each feasible orbit's first child).
         kept: list[tuple[Hypergraph, list, dict, list[tuple[int, ...]]]] = []
@@ -276,7 +272,6 @@ def _levels(
         keys = sorted(found)
         current = [found[k][0] for k in keys]
         carried = [found[k][1] for k in keys]
-        yield level, current, keys, tested
     yield level, [], [], tested
 
 
@@ -423,10 +418,21 @@ def _checkpoint_header(n: int, r: int, spec: FamilySpec) -> dict:
 
 def _load_checkpoint(
     path: str, n: int, r: int, spec: FamilySpec
-) -> tuple[tuple[int, list[Hypergraph], int], int | None, list[bytes]] | None:
-    """(start for ``_levels``, best level, best keys) saved at ``path``, or
-    None if there is no such file.  Raises SearchLimitError naming the
-    file if it belongs to a different run or is malformed."""
+) -> tuple[tuple[int, list[Hypergraph], int], list[bytes], int | None,
+           list[bytes]] | None:
+    """(start for ``_levels``, the representatives' keys as listed, best
+    level, best keys) saved at ``path``, or None if there is no such
+    file.  Raises SearchLimitError naming the file if it belongs to a
+    different run or is malformed.
+
+    Every representative and best key must decode to a graph of this run
+    within the multiplicity cap, with ``level`` and ``best_level``
+    instances respectively; each best key must be connected and its own
+    canonical form, in strictly ascending order.  Whether the
+    representatives are the canonical forms of their classes, each once
+    and in ascending order, is checked by ``exact_ex_conn`` against the
+    keys that ``_levels`` computes for them.  Freeness is not re-checked:
+    the full detector costs about four canonicalizations per graph."""
     if not os.path.exists(path):
         return None
     with open(path) as fh:
@@ -454,18 +460,43 @@ def _load_checkpoint(
         raise SearchLimitError(
             f"checkpoint {path} has no valid {', '.join(bad)}")
     try:
-        reps = [] if data["complete"] else [
-            from_canonical_string(s) for s in data["reps"]]
-        best_keys = [k.encode("ascii") for k in data["best_keys"]]
+        rep_keys = [s.encode("ascii") for s in data["reps"]]
+        best_keys = [s.encode("ascii") for s in data["best_keys"]]
+        reps = [from_canonical_string(k) for k in rep_keys]
+        best = [from_canonical_string(k) for k in best_keys]
     except (ValueError, AttributeError) as exc:
         raise SearchLimitError(f"checkpoint {path} is malformed: {exc}") from None
-    for h in reps:
-        if (h.n, h.r, h.num_edges()) != (n, r, data["level"]):
+    if data["complete"] == bool(reps):
+        raise SearchLimitError(
+            f"checkpoint {path} has complete={data['complete']} with "
+            f"{len(reps)} representatives")
+    if (data["best_level"] is None) != (not best):
+        raise SearchLimitError(
+            f"checkpoint {path} has best_level={data['best_level']} with "
+            f"{len(best)} best keys")
+    cap = spec.multiplicity_cap
+    for what, level, graphs in (("representative", data["level"], reps),
+                                ("best key", data["best_level"], best)):
+        for h in graphs:
+            if (h.n, h.r, h.num_edges()) != (n, r, level):
+                raise SearchLimitError(
+                    f"checkpoint {path} holds a {what} with n={h.n}, "
+                    f"r={h.r}, {h.num_edges()} instances, not n={n}, r={r}, "
+                    f"{level} instances")
+            if h.max_multiplicity() > cap:
+                raise SearchLimitError(
+                    f"checkpoint {path} holds a {what} with multiplicity "
+                    f"{h.max_multiplicity()} over the cap m={cap}")
+    for k, h in zip(best_keys, best):
+        if not is_connected(h) or canonical_form(h)[0] != k:
             raise SearchLimitError(
-                f"checkpoint {path} holds a representative with n={h.n}, "
-                f"r={h.r}, {h.num_edges()} instances, not n={n}, r={r}, "
-                f"{data['level']} instances")
-    return (data["level"], reps, data["tested"]), data["best_level"], best_keys
+                f"checkpoint {path} holds a best key {k.decode()!r} that is "
+                "not a connected canonical form")
+    if best_keys != sorted(set(best_keys)):
+        raise SearchLimitError(
+            f"checkpoint {path} lists its best keys out of order or twice")
+    return ((data["level"], reps, data["tested"]), rep_keys,
+            data["best_level"], best_keys)
 
 
 def exact_ex_conn(
@@ -487,7 +518,12 @@ def exact_ex_conn(
     With ``checkpoint_path`` the state after every completed level is
     written out (versioned header, current representatives, running
     best); an aborted run resumes from the file and yields the same
-    outcome as an uninterrupted one.
+    outcome as an uninterrupted one.  A resume starts the level search at
+    the saved level, whose representatives are canonicalized before any
+    is expanded; it stops with a SearchLimitError naming the file unless
+    their keys are the representatives as listed, in strictly ascending
+    order, so a duplicated, reordered or relabeled representative is
+    refused.  The saved level is then written out again, unchanged.
 
     ``workers`` does not change the search: every level is expanded in
     the calling thread.  It is kept for a process pool over subtrees,
@@ -499,12 +535,20 @@ def exact_ex_conn(
     t0 = time.perf_counter()
     ck = None if checkpoint_path is None else _load_checkpoint(
         checkpoint_path, n, r, spec)
-    start, best_level, best_keys = (None, None, []) if ck is None else ck
+    start, listed, best_level, best_keys = (
+        (None, None, None, []) if ck is None else ck)
 
     for level, reps, keys, tested in _levels(
         n, r, spec, node_budget=node_budget, time_budget=time_budget,
         start=start,
     ):
+        if listed is not None:
+            # The resumed level, canonicalized afresh and not yet expanded.
+            if keys != listed or keys != sorted(set(keys)):
+                raise SearchLimitError(
+                    f"checkpoint {checkpoint_path} lists representatives "
+                    "that are not distinct canonical forms in ascending order")
+            listed = None
         conn_keys = [k for k, h in zip(keys, reps) if is_connected(h)]
         if conn_keys:
             best_level, best_keys = level, conn_keys

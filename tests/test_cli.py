@@ -308,17 +308,94 @@ def _rep_with_one_instance_less(ck):
     return ck
 
 
+def _reps_twice(ck):
+    # Ascending, but each twice: it once resumed to nodes_explored 331
+    # (fresh: 232).
+    ck["reps"] = sorted(ck["reps"] * 2)
+    return ck
+
+
+def _reps_reversed(ck):
+    ck["reps"].reverse()
+    return ck
+
+
+def _relabeled_rep(ck):
+    # "7 3;0,1,2;3,4,5" with vertices 0 and 6 swapped: its class, but not
+    # its canonical form.
+    assert ck["reps"][0] == "7 3;0,1,2;3,4,5"
+    ck["reps"][0] = "7 3;1,2,6;3,4,5"
+    return ck
+
+
+def _rep_over_the_cap(ck):
+    # A canonical form, but a double edge at m = 1: it once resumed to
+    # nodes_explored 201.
+    ck["reps"][0] = "7 3;0,1,2;0,1,2"
+    return ck
+
+
+def _complete_with_reps(ck):
+    # It once dropped the representatives and reported the search
+    # infeasible.
+    ck["complete"] = True
+    return ck
+
+
+def _finished_with_best_keys(ck, *keys):
+    # The finished run's checkpoint with other best keys, which were once
+    # printed as the witnesses.
+    ck.update(level=3, reps=[], tested=232, best_level=3,
+              best_keys=list(keys), complete=True)
+    return ck
+
+
+def _best_key_not_a_hypergraph(ck):
+    return _finished_with_best_keys(ck, "not a hypergraph")
+
+
+def _best_key_with_one_instance(ck):
+    return _finished_with_best_keys(ck, "7 3;0,1,2")
+
+
+def _best_key_disconnected(ck):
+    # Its own canonical form.
+    return _finished_with_best_keys(ck, "7 3;0,1,2;3,5,6;4,5,6")
+
+
+def _best_key_relabeled(ck):
+    # The witness "7 3;0,1,6;2,3,6;4,5,6" with vertices 0 and 6 swapped.
+    return _finished_with_best_keys(ck, "7 3;0,1,2;0,3,4;0,5,6")
+
+
+def _best_key_twice(ck):
+    return _finished_with_best_keys(ck, *["7 3;0,1,6;2,3,6;4,5,6"] * 2)
+
+
+def _best_level_without_best_keys(ck):
+    return _finished_with_best_keys(ck)
+
+
 @pytest.mark.parametrize("corrupt", [
     _no_object, _no_best_level, _complete_as_text, _rep_on_other_n,
     _rep_on_other_r, _level_as_bool, _negative_level, _negative_tested,
     _best_level_as_bool, _negative_best_level, _best_level_above_level,
-    _rep_with_one_instance_less])
+    _rep_with_one_instance_less, _reps_twice, _reps_reversed,
+    _relabeled_rep, _rep_over_the_cap, _complete_with_reps,
+    _best_key_not_a_hypergraph, _best_key_with_one_instance,
+    _best_key_disconnected, _best_key_relabeled, _best_key_twice,
+    _best_level_without_best_keys])
 def test_exact_malformed_checkpoint_exits_2(capsys, tmp_path, corrupt):
     """A checkpoint that is not a JSON object, lacks a field, has a field
     of the wrong type or a negative count, a best level above its level,
-    or holds a representative on another n or r or with another instance
-    count than its level stops the run with an error that names the
-    file, not with a traceback or a wrong answer."""
+    or holds a representative on another n or r, with another instance
+    count than its level or over the multiplicity cap, lists its
+    representatives twice, out of order or not in canonical form, says it
+    is complete while listing representatives, or holds a best key that
+    is not a connected canonical form with best_level instances, the
+    same best key twice, or a best level without best keys stops
+    the run with an error that names the file, not with a traceback or a
+    wrong answer."""
     path = tmp_path / "ck.json"
     argv = ["exact", "7", "3", "--bp", "3", "--checkpoint", str(path)]
     code, _, err = run(capsys, *argv, "--node-budget", "100")
