@@ -480,13 +480,18 @@ def canonical_key(h: Hypergraph) -> bytes:
 
 
 def from_canonical_string(s: str | bytes) -> Hypergraph:
-    """Decode the canonical encoding back into a hypergraph."""
-    if isinstance(s, bytes):
-        s = s.decode("ascii")
-    parts = s.split(";")
-    n_str, r_str = parts[0].split()
-    edges = [[int(v) for v in p.split(",")] for p in parts[1:] if p]
-    return Hypergraph.build(int(n_str), int(r_str), edges)
+    """Decode the canonical encoding "n r;a,b,...;..." back into a
+    hypergraph.  Raises HypergraphError naming ``s`` if it is not one."""
+    try:
+        text = s.decode("ascii") if isinstance(s, bytes) else s
+        head, *parts = text.split(";")
+        n_str, r_str = head.split()
+        edges = [[int(v) for v in p.split(",")] for p in parts if p]
+        return Hypergraph.build(int(n_str), int(r_str), edges)
+    except (ValueError, AttributeError) as exc:
+        why = f": {exc}" if isinstance(exc, HypergraphError) else ""
+        raise HypergraphError(
+            f"{s!r} is not a canonical string \"n r;a,b,...;...\"{why}") from None
 
 
 def relabel(h: Hypergraph, pi: dict[int, int] | tuple[int, ...]) -> Hypergraph:

@@ -67,6 +67,7 @@ import itertools
 import json
 import os
 import time
+import zlib
 from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Callable, Iterator
@@ -169,15 +170,16 @@ def _levels(
     *,
     node_budget: int | None = None,
     time_budget: float | None = None,
-    start: tuple[int, list[Hypergraph], int] | None = None,
+    start: tuple[list[Hypergraph], int] | None = None,
 ) -> Iterator[tuple[int, list[Hypergraph], list[bytes], int]]:
     """The level BFS: yields (level, reps, keys, tested) for each level
     before expanding it, with the canonical representatives sorted by key
     and the children tested so far.  A finished run ends with (last
     level, [], [], tested).
 
-    The first level is the empty root, or ``start`` = (level,
-    representatives, tested_so_far) to resume a run there.  Each of its
+    The first level is the empty root, or ``start`` = (representatives,
+    tested_so_far) to resume a run at their instance count (0 if there
+    are none, which yields only the final tuple).  Each of its
     representatives is canonicalized once, which gives its key and its
     generators, and it is yielded with those keys like every other level,
     so a caller can check that a resumed level lists canonical forms in
@@ -206,7 +208,8 @@ def _levels(
                 f"time budget exceeded while expanding level {level}"
             )
 
-    level, current, tested = start or (0, [Hypergraph(n, r, ())], 0)
+    current, tested = start or ([Hypergraph(n, r, ())], 0)
+    level = current[0].num_edges() if current else 0
     # ``carried``: the known automorphisms of each representative, as
     # vertex maps.  Start representatives are canonically labeled (a
     # resume checks the keys), so the automorphisms found are theirs.
@@ -408,7 +411,7 @@ def _check_limits(n: int, r: int, spec: FamilySpec, force: bool) -> None:
         )
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _checkpoint_header(n: int, r: int, spec: FamilySpec) -> dict:
@@ -416,24 +419,26 @@ def _checkpoint_header(n: int, r: int, spec: FamilySpec) -> dict:
             "family": spec.label()}
 
 
+def _check_value(data: dict) -> int:
+    """The CRC-32 of the compact JSON of [reps, tested, best_keys]."""
+    body = [data["reps"], data["tested"], data["best_keys"]]
+    return zlib.crc32(json.dumps(body, separators=(",", ":")).encode())
+
+
 def _load_checkpoint(
-    path: str, n: int, r: int, spec: FamilySpec
-) -> tuple[tuple[int, list[Hypergraph], int], list[bytes], int | None,
+    path: str | None, n: int, r: int, spec: FamilySpec
+) -> tuple[tuple[list[Hypergraph], int], list[bytes], int | None,
            list[bytes]] | None:
     """(start for ``_levels``, the representatives' keys as listed, best
-    level, best keys) saved at ``path``, or None if there is no such
-    file.  Raises SearchLimitError naming the file if it belongs to a
-    different run or is malformed.
-
-    Every representative and best key must decode to a graph of this run
-    within the multiplicity cap, with ``level`` and ``best_level``
-    instances respectively; each best key must be connected and its own
-    canonical form, in strictly ascending order.  Whether the
-    representatives are the canonical forms of their classes, each once
-    and in ascending order, is checked by ``exact_ex_conn`` against the
-    keys that ``_levels`` computes for them.  Freeness is not re-checked:
-    the full detector costs about four canonicalizations per graph."""
-    if not os.path.exists(path):
+    level, best keys) saved at ``path``, or None if there is no path or
+    no such file.  Raises SearchLimitError naming the file unless it has
+    this version and run, its check value and well-formed key lists:
+    every key decodes to a graph of this run within the multiplicity
+    cap, and the keys of a list share one instance count, the level or
+    the best level.  Best keys must also be connected canonical forms,
+    strictly ascending, with no more instances than the representatives.
+    Freeness is not re-checked: it costs about four canonicalizations."""
+    if path is None or not os.path.exists(path):
         return None
     with open(path) as fh:
         try:
@@ -442,51 +447,43 @@ def _load_checkpoint(
             raise SearchLimitError(f"checkpoint {path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SearchLimitError(f"checkpoint {path} is not a JSON object")
-    header = {k: data.get(k) for k in ("version", "n", "r", "family")}
-    if header != _checkpoint_header(n, r, spec):
+    want = _checkpoint_header(n, r, spec)
+    header = {k: data.get(k) for k in want}
+    if header != want:
+        run = "version {version} for n={n}, r={r}, {family}".format
         raise SearchLimitError(
-            f"checkpoint {path} belongs to a different run: {header}"
-        )
+            f"checkpoint {path} is {run(**header)}; this run reads {run(**want)}")
     # Exact types, since a bool is an int to isinstance; counts are >= 0.
-    kinds = {"level": {int}, "reps": {list}, "tested": {int},
-             "best_level": {int, type(None)}, "best_keys": {list},
-             "complete": {bool}}
+    kinds = {"reps": list, "tested": int, "best_keys": list, "crc32": int}
     bad = [k for k, kind in kinds.items()
-           if k not in data or type(data[k]) not in kind
-           or type(data[k]) is int and data[k] < 0]
-    if not bad and (data["best_level"] or 0) > data["level"]:
-        bad = ["best_level"]
+           if type(data.get(k)) is not kind or kind is int and data[k] < 0]
     if bad:
         raise SearchLimitError(
             f"checkpoint {path} has no valid {', '.join(bad)}")
-    try:
-        rep_keys = [s.encode("ascii") for s in data["reps"]]
-        best_keys = [s.encode("ascii") for s in data["best_keys"]]
-        reps = [from_canonical_string(k) for k in rep_keys]
-        best = [from_canonical_string(k) for k in best_keys]
-    except (ValueError, AttributeError) as exc:
-        raise SearchLimitError(f"checkpoint {path} is malformed: {exc}") from None
-    if data["complete"] == bool(reps):
+    if data["crc32"] != _check_value(data):
         raise SearchLimitError(
-            f"checkpoint {path} has complete={data['complete']} with "
-            f"{len(reps)} representatives")
-    if (data["best_level"] is None) != (not best):
+            f"checkpoint {path} does not match its check value crc32")
+    cap, lists = spec.multiplicity_cap, []
+    for what, strings in (("representative", data["reps"]),
+                          ("best key", data["best_keys"])):
+        try:
+            graphs = [from_canonical_string(s) for s in strings]
+            keys = [s.encode("ascii") for s in strings]
+        except ValueError as exc:
+            raise SearchLimitError(
+                f"checkpoint {path} is malformed: {exc}") from None
+        counts = {h.num_edges() for h in graphs}
+        if len(counts) > 1 or any((h.n, h.r) != (n, r) or h.max_multiplicity() > cap
+                                  for h in graphs):
+            raise SearchLimitError(
+                f"checkpoint {path} holds {what}s that do not all have n={n}, "
+                f"r={r}, m<={cap} and one instance count")
+        lists.append((keys, graphs, counts.pop() if counts else None))
+    (rep_keys, reps, level), (best_keys, best, best_level) = lists
+    if reps and best and best_level > level:
         raise SearchLimitError(
-            f"checkpoint {path} has best_level={data['best_level']} with "
-            f"{len(best)} best keys")
-    cap = spec.multiplicity_cap
-    for what, level, graphs in (("representative", data["level"], reps),
-                                ("best key", data["best_level"], best)):
-        for h in graphs:
-            if (h.n, h.r, h.num_edges()) != (n, r, level):
-                raise SearchLimitError(
-                    f"checkpoint {path} holds a {what} with n={h.n}, "
-                    f"r={h.r}, {h.num_edges()} instances, not n={n}, r={r}, "
-                    f"{level} instances")
-            if h.max_multiplicity() > cap:
-                raise SearchLimitError(
-                    f"checkpoint {path} holds a {what} with multiplicity "
-                    f"{h.max_multiplicity()} over the cap m={cap}")
+            f"checkpoint {path} holds best keys with {best_level} instances, "
+            f"more than the representatives' {level}")
     for k, h in zip(best_keys, best):
         if not is_connected(h) or canonical_form(h)[0] != k:
             raise SearchLimitError(
@@ -495,8 +492,7 @@ def _load_checkpoint(
     if best_keys != sorted(set(best_keys)):
         raise SearchLimitError(
             f"checkpoint {path} lists its best keys out of order or twice")
-    return ((data["level"], reps, data["tested"]), rep_keys,
-            data["best_level"], best_keys)
+    return (reps, data["tested"]), rep_keys, best_level, best_keys
 
 
 def exact_ex_conn(
@@ -516,14 +512,16 @@ def exact_ex_conn(
     infeasibility certificate when no such hypergraph exists.
 
     With ``checkpoint_path`` the state after every completed level is
-    written out (versioned header, current representatives, running
-    best); an aborted run resumes from the file and yields the same
-    outcome as an uninterrupted one.  A resume starts the level search at
-    the saved level, whose representatives are canonicalized before any
-    is expanded; it stops with a SearchLimitError naming the file unless
-    their keys are the representatives as listed, in strictly ascending
-    order, so a duplicated, reordered or relabeled representative is
-    refused.  The saved level is then written out again, unchanged.
+    written out (versioned header, current representatives, children
+    tested, running best keys and a check value over those three; a
+    level is its keys' instance count); an aborted run resumes from the
+    file and yields the same outcome as an uninterrupted one.  A resume
+    starts the level search at the saved level, whose representatives
+    are canonicalized before any is expanded; it stops with a
+    SearchLimitError naming the file unless their keys are the
+    representatives as listed, in strictly ascending order, so a
+    duplicated, reordered or relabeled representative is refused.  The
+    saved level is then written out again, unchanged.
 
     ``workers`` does not change the search: every level is expanded in
     the calling thread.  It is kept for a process pool over subtrees,
@@ -533,10 +531,8 @@ def exact_ex_conn(
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
     t0 = time.perf_counter()
-    ck = None if checkpoint_path is None else _load_checkpoint(
-        checkpoint_path, n, r, spec)
     start, listed, best_level, best_keys = (
-        (None, None, None, []) if ck is None else ck)
+        _load_checkpoint(checkpoint_path, n, r, spec) or (None, None, None, []))
 
     for level, reps, keys, tested in _levels(
         n, r, spec, node_budget=node_budget, time_budget=time_budget,
@@ -553,8 +549,8 @@ def exact_ex_conn(
         if conn_keys:
             best_level, best_keys = level, conn_keys
         if checkpoint_path is not None:
-            _save_checkpoint(checkpoint_path, n, r, spec, level, keys, tested,
-                             best_level, best_keys, complete=not reps)
+            _save_checkpoint(checkpoint_path, n, r, spec, keys, tested,
+                             best_keys)
     elapsed = (time.perf_counter() - t0) * 1000
     if best_level is None:
         return SearchOutcome("infeasible", None, [], tested, elapsed, 0,
@@ -564,17 +560,13 @@ def exact_ex_conn(
                          len(best_keys), n, r, spec.label())
 
 
-def _save_checkpoint(path, n, r, spec, level, keys, tested, best_level,
-                     best_keys, complete):
+def _save_checkpoint(path, n, r, spec, keys, tested, best_keys):
+    """Write the header, the representatives' ``keys`` (none once the run
+    has finished), ``tested``, ``best_keys`` and their check value."""
     data = _checkpoint_header(n, r, spec)
-    data.update(
-        level=level,
-        reps=[k.decode("ascii") for k in keys],
-        tested=tested,
-        best_level=best_level,
-        best_keys=[k.decode("ascii") for k in best_keys],
-        complete=complete,
-    )
+    data.update(reps=[k.decode("ascii") for k in keys], tested=tested,
+                best_keys=[k.decode("ascii") for k in best_keys])
+    data["crc32"] = _check_value(data)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(data, fh)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -244,41 +245,41 @@ def test_exact_checkpoint_flag(capsys, tmp_path):
     assert code == 0 and out1 == out2
 
 
-def _no_object(ck):
-    return [ck["level"], ck["reps"]]
-
-
-def _no_best_level(ck):
-    del ck["best_level"]
+def _sealed(ck):
+    """``ck`` with the check value of its (possibly edited) contents."""
+    body = [ck.get("reps"), ck.get("tested"), ck.get("best_keys")]
+    ck["crc32"] = zlib.crc32(json.dumps(body, separators=(",", ":")).encode())
     return ck
 
 
-def _complete_as_text(ck):
-    # Truthy, so it once made the run skip its representatives and
-    # report the search infeasible.
-    ck["complete"] = "no"
+def _no_object(ck):
+    return [ck["version"], ck["reps"]]
+
+
+def _version_1(ck):
+    # The same state in the format before the check value, which also
+    # stored the level, the best level and whether the run had finished.
+    return {"version": 1, "n": 7, "r": 3, "family": ck["family"],
+            "level": 2, "reps": ck["reps"], "tested": ck["tested"],
+            "best_level": None, "best_keys": [], "complete": False}
+
+
+def _no_best_level(ck):
+    # The best level is the best keys' instance count.
+    del ck["best_keys"]
     return ck
 
 
 def _rep_on_other_n(ck):
-    ck["reps"][0] = "8 3;0,1,2;0,3,4"
+    # Every representative moved to n = 8, where it is still a canonical
+    # form with two instances, listed in order.
+    ck["reps"] = [k.replace("7 3", "8 3", 1) for k in ck["reps"]]
     return ck
 
 
 def _rep_on_other_r(ck):
-    ck["reps"][0] = "7 4;0,1,2,3"
-    return ck
-
-
-def _level_as_bool(ck):
-    # An int to isinstance: it once resumed to value 2 (the answer is 3).
-    ck["level"] = True
-    return ck
-
-
-def _negative_level(ck):
-    # It once resumed to value -2.
-    ck["level"] = -3
+    # A canonical form with two instances, but r = 4.
+    ck["reps"] = ["7 4;0,1,2,6;3,4,5,6"]
     return ck
 
 
@@ -288,18 +289,15 @@ def _negative_tested(ck):
     return ck
 
 
-def _best_level_as_bool(ck):
-    ck["best_level"] = True
-    return ck
-
-
-def _negative_best_level(ck):
-    ck["best_level"] = -1
-    return ck
-
-
 def _best_level_above_level(ck):
-    ck["best_level"] = ck["level"] + 1
+    # A connected canonical form with 3 instances above 2-instance
+    # representatives.
+    ck["best_keys"] = ["7 3;0,1,6;2,3,6;4,5,6"]
+    return ck
+
+
+def _rep_not_a_string(ck):
+    ck["reps"][0] = 7
     return ck
 
 
@@ -335,18 +333,10 @@ def _rep_over_the_cap(ck):
     return ck
 
 
-def _complete_with_reps(ck):
-    # It once dropped the representatives and reported the search
-    # infeasible.
-    ck["complete"] = True
-    return ck
-
-
 def _finished_with_best_keys(ck, *keys):
     # The finished run's checkpoint with other best keys, which were once
     # printed as the witnesses.
-    ck.update(level=3, reps=[], tested=232, best_level=3,
-              best_keys=list(keys), complete=True)
+    ck.update(reps=[], tested=232, best_keys=list(keys))
     return ck
 
 
@@ -355,7 +345,8 @@ def _best_key_not_a_hypergraph(ck):
 
 
 def _best_key_with_one_instance(ck):
-    return _finished_with_best_keys(ck, "7 3;0,1,2")
+    # Beside a witness with 3.
+    return _finished_with_best_keys(ck, "7 3;0,1,2", "7 3;0,1,6;2,3,6;4,5,6")
 
 
 def _best_key_disconnected(ck):
@@ -372,40 +363,68 @@ def _best_key_twice(ck):
     return _finished_with_best_keys(ck, *["7 3;0,1,6;2,3,6;4,5,6"] * 2)
 
 
-def _best_level_without_best_keys(ck):
-    return _finished_with_best_keys(ck)
+# Edits that leave the file well formed, caught only by the check value.
+# They once resumed with exit 0: removing the second representative gave
+# status infeasible and nodes_explored 167 (fresh: value 3, 232).
+
+def _rep_removed(ck):
+    del ck["reps"][1]
+    return ck
+
+
+def _best_key_removed(ck):
+    # The finished run's checkpoint without its one best key reads as an
+    # infeasible search.
+    ck = _sealed(_finished_with_best_keys(ck, "7 3;0,1,6;2,3,6;4,5,6"))
+    ck["best_keys"] = []
+    return ck
+
+
+def _tested_edited(ck):
+    ck["tested"] += 1
+    return ck
+
+
+_UNSEALED = {_rep_removed, _best_key_removed, _tested_edited}
 
 
 @pytest.mark.parametrize("corrupt", [
-    _no_object, _no_best_level, _complete_as_text, _rep_on_other_n,
-    _rep_on_other_r, _level_as_bool, _negative_level, _negative_tested,
-    _best_level_as_bool, _negative_best_level, _best_level_above_level,
-    _rep_with_one_instance_less, _reps_twice, _reps_reversed,
-    _relabeled_rep, _rep_over_the_cap, _complete_with_reps,
+    _no_object, _version_1, _no_best_level, _rep_on_other_n,
+    _rep_on_other_r, _negative_tested, _best_level_above_level,
+    _rep_not_a_string, _rep_with_one_instance_less, _reps_twice,
+    _reps_reversed, _relabeled_rep, _rep_over_the_cap,
     _best_key_not_a_hypergraph, _best_key_with_one_instance,
     _best_key_disconnected, _best_key_relabeled, _best_key_twice,
-    _best_level_without_best_keys])
+    _rep_removed, _best_key_removed, _tested_edited])
 def test_exact_malformed_checkpoint_exits_2(capsys, tmp_path, corrupt):
-    """A checkpoint that is not a JSON object, lacks a field, has a field
-    of the wrong type or a negative count, a best level above its level,
-    or holds a representative on another n or r, with another instance
-    count than its level or over the multiplicity cap, lists its
-    representatives twice, out of order or not in canonical form, says it
-    is complete while listing representatives, or holds a best key that
-    is not a connected canonical form with best_level instances, the
-    same best key twice, or a best level without best keys stops
-    the run with an error that names the file, not with a traceback or a
-    wrong answer."""
+    """A checkpoint that is not a JSON object, has another version, lacks
+    a field, has a field of the wrong type or a negative count, or holds
+    a representative that is not a canonical string, is on another n or
+    r, has another instance count than the others or is over the
+    multiplicity cap, lists its representatives
+    twice, out of order or not in canonical form, or holds a best key
+    that is not a connected canonical form, has another instance count
+    than the other best keys or more than the representatives, or is
+    listed twice, stops the run with an error that names the file, not
+    with a traceback or a wrong answer.  Each of those edits is sealed
+    with a new check value, so the check it targets is the one that
+    fires; an edit left unsealed, such as a representative removed, is
+    refused for its check value."""
     path = tmp_path / "ck.json"
     argv = ["exact", "7", "3", "--bp", "3", "--checkpoint", str(path)]
     code, _, err = run(capsys, *argv, "--node-budget", "100")
     assert code == 2 and "node budget" in err
     ck = json.loads(path.read_text())
-    assert ck["reps"] and not ck["complete"]
-    path.write_text(json.dumps(corrupt(ck)))
+    assert len(ck["reps"]) > 1
+    ck = corrupt(ck)
+    if isinstance(ck, dict) and "crc32" in ck and corrupt not in _UNSEALED:
+        ck = _sealed(ck)
+    path.write_text(json.dumps(ck))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: checkpoint {path} "), err
+    assert ("check value" in err) == (corrupt in _UNSEALED), err
+    assert ("version 1" in err) == (corrupt is _version_1), err
 
 
 def test_report_bytes_are_pinned(capsys, tmp_path):

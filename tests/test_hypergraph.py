@@ -12,6 +12,7 @@ from bergeturan.hypergraph import (
     build,
     canonical_form,
     canonical_key,
+    from_canonical_string,
     from_json,
     from_text,
     hyperedge_neighborhood,
@@ -594,6 +595,23 @@ def test_text_errors_carry_line_numbers():
         from_text("7 3\n0 1\n")
     with pytest.raises(HypergraphError, match="line 3"):
         from_text("7 3\n0 1 2\n0 1 9\n")
+
+
+@pytest.mark.parametrize("s, detail", [
+    ("not a hypergraph", ""),
+    ("7", ""),
+    ("7 3;0,1", ": edge 0 must have exactly 3 distinct vertices"),
+    ("7 3;a,b,c", ""),
+    ("7 3;0,1,9", ": edge 0 has vertex id out of range"),
+    (b"7 3;0,1,\xff", ""),
+])
+def test_canonical_string_errors_name_the_string_and_format(s, detail):
+    # Python's own parse errors ("too many values to unpack", "invalid
+    # literal for int()") say nothing of the input; build's name the edge.
+    with pytest.raises(HypergraphError) as exc:
+        from_canonical_string(s)
+    assert str(exc.value).startswith(
+        f'{s!r} is not a canonical string "n r;a,b,...;..."{detail}')
 
 
 def test_json_round_trip():

@@ -139,8 +139,7 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
         with pytest.raises(SearchLimitError, match="node budget"):
             exact_ex_conn(n, r, spec, node_budget=budget, checkpoint_path=str(path))
         ck = json.loads(path.read_text())
-        start = (ck["level"], [from_canonical_string(k) for k in ck["reps"]],
-                 ck["tested"])
+        start = ([from_canonical_string(k) for k in ck["reps"]], ck["tested"])
     expanded = []   # (allowed candidates, their orbit ids, generators, merges)
     orbits_of = search._candidate_orbits
     canon = search.canonical_form
@@ -289,14 +288,14 @@ def test_deletion_test_is_off_after_a_checkpoint_resume(tmp_path, budget, level)
                        match=f"exceeded while expanding level {level}$"):
         exact_ex_conn(n, r, spec, node_budget=budget, checkpoint_path=str(path))
     ck = json.loads(path.read_text())
-    start = (ck["level"], [from_canonical_string(k) for k in ck["reps"]],
-             ck["tested"])
+    start = ([from_canonical_string(k) for k in ck["reps"]], ck["tested"])
     levels, calls, forced, forced_calls = (
         _levels_with_and_without_deletion_test(n, r, spec, start=start))
     assert levels == forced and calls == forced_calls
     fresh_levels = [(level, keys, tested) for level, _, keys, tested
                     in search._levels(n, r, spec)]
-    assert levels == fresh_levels[ck["level"]:]
+    # A key's instance count is its number of ";".
+    assert levels == fresh_levels[ck["reps"][0].count(";"):]
     assert exact_ex_conn(n, r, spec, checkpoint_path=str(path)).stable_json() == fresh
 
 
@@ -591,7 +590,8 @@ def test_time_budget_holds_inside_a_level(monkeypatch, tmp_path):
         exact_ex_conn(7, 3, FamilySpec("bp", 3), time_budget=5.5,
                       checkpoint_path=str(path))
     ck = json.loads(path.read_text())
-    assert ck["level"] == 2 and len(ck["reps"]) > 1
+    # A key's instance count is its number of ";".
+    assert len(ck["reps"]) > 1 and {k.count(";") for k in ck["reps"]} == {2}
 
 
 def test_time_budget_holds_in_the_admission_pass(monkeypatch):
