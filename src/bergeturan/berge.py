@@ -120,9 +120,19 @@ class _PairMatcher:
         self.owner: dict[int, int] = {}  # instance -> slot
 
     def push(self, insts: list[int]) -> bool:
-        """Add a slot over ``insts``; augment; undo and refuse if impossible."""
+        """Add a slot over ``insts``; augment; undo and refuse if impossible.
+
+        A free first instance is taken at once, with no search: it is the
+        instance ``_augment`` would take first, so the matching is the
+        same either way.
+        """
         slot = len(self.slots)
         self.slots.append(insts)
+        first = insts[0]
+        if first not in self.owner:
+            self.owner[first] = slot
+            self.match.append(first)
+            return True
         self.match.append(-1)
         if self._augment(slot, set()):
             return True
@@ -355,14 +365,15 @@ def new_edge_detector(
     index = _pair_index(h)
     answers: dict[tuple[int, int], bool] = {}
 
-    def through(pair: tuple[int, int]) -> bool:
-        hit = answers.get(pair)
-        if hit is None:
-            hit = _counts(_walk(index, most, close_from, (pair, inst)), k, close_from)
-            answers[pair] = hit
-        return hit
-
     def violates_with(e: tuple[int, ...]) -> bool:
-        return any(map(through, itertools.combinations(e, 2)))
+        for pair in itertools.combinations(e, 2):
+            hit = answers.get(pair)
+            if hit is None:
+                hit = _counts(_walk(index, most, close_from, (pair, inst)),
+                              k, close_from)
+                answers[pair] = hit
+            if hit:
+                return True
+        return False
 
     return violates_with

@@ -45,6 +45,7 @@ uses.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from typing import Iterable, Iterator
 
 CANONICAL_N_LIMIT = 12
@@ -104,9 +105,14 @@ class Hypergraph:
         return Hypergraph(n, r, tuple(insts))
 
     def with_edge(self, edge: tuple[int, ...]) -> "Hypergraph":
-        """Return a new hypergraph with one more instance (edge must be sorted)."""
-        merged = tuple(sorted(self.edges + (edge,)))
-        return Hypergraph(self.n, self.r, merged)
+        """Return a new hypergraph with one more instance (edge must be sorted).
+
+        The edge goes in at ``bisect_right``, after its equal instances:
+        the tuple that sorting the enlarged instance list would give.
+        """
+        edges = self.edges
+        at = bisect_right(edges, edge)
+        return Hypergraph(self.n, self.r, edges[:at] + (edge,) + edges[at:])
 
     # -- elementary queries -------------------------------------------
 

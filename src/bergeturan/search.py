@@ -188,7 +188,11 @@ def _levels(
     edges under the swaps of the parent's twins and its carried
     generators, only the first child in candidate order is tested and
     canonicalized, seeded with the generators that fix its new edge;
-    every candidate is still counted in ``tested``.  Each level takes two
+    every candidate is still counted in ``tested``.  A parent's twin-orbit
+    codes for all candidates come from one pass over the combinations of
+    its twin weights, in candidate order, and the edges at the
+    multiplicity cap are dropped from the candidates and the codes
+    together.  Each level takes two
     passes: the expand pass tests every parent's candidates and applies
     the reachability prune, and the admit pass canonicalizes the first
     children of the kept parents.  A first child that fails
@@ -200,6 +204,7 @@ def _levels(
     most one parent's candidates past the node budget.
     """
     candidates = list(itertools.combinations(range(n), r))
+    position = {e: i for i, e in enumerate(candidates)}
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     def check_deadline() -> None:
@@ -229,22 +234,34 @@ def _levels(
             for e in parent.edges:
                 counts[e] = counts.get(e, 0) + 1
             violates_with = spec.child_violates(parent)
-            twin = twin_classes(parent.vertex_instances())
-            allowed = [e for e in candidates
-                       if counts.get(e, 0) < spec.multiplicity_cap]
-            # Orbit -> the new edge of its first child in candidate order,
-            # or None if that child violates.
-            firsts: dict[int, tuple[int, ...] | None] = {}
+            # Twin class c weighs (r + 1) ** c, so an edge's twin-orbit
+            # code is the sum of its vertices' weights; the combinations
+            # of the weights give the codes in candidate order.
+            pw = [(r + 1) ** c for c in twin_classes(parent.vertex_instances())]
+            allowed = candidates.copy()
+            codes = list(map(sum, itertools.combinations(pw, r)))
+            # Drop the edges at the cap from the back, so that the
+            # positions still to drop stay valid.
+            for i in sorted((position[e] for e, c in counts.items()
+                             if c >= spec.multiplicity_cap), reverse=True):
+                del allowed[i], codes[i]
+            # Orbit -> whether its first child in candidate order is free.
+            free: dict[int, bool] = {}
+            first_edges: list[tuple[int, ...]] = []
             feasible_edges: list[tuple[int, ...]] = []
-            for e, orbit in zip(allowed, _candidate_orbits(allowed, twin, r, gens)):
+            with_edge = parent.with_edge
+            for e, orbit in zip(allowed, _candidate_orbits(allowed, codes, pw, gens)):
                 # Unused, but built for every tested child: the traced
                 # benchmark counts tested children by these calls.
-                parent.with_edge(e)
-                tested += 1
-                if orbit not in firsts:
-                    firsts[orbit] = None if violates_with(e) else e
-                if firsts[orbit] is not None:
+                with_edge(e)
+                ok = free.get(orbit)
+                if ok is None:
+                    ok = free[orbit] = not violates_with(e)
+                    if ok:
+                        first_edges.append(e)
+                if ok:
                     feasible_edges.append(e)
+            tested += len(allowed)
             if node_budget is not None and tested > node_budget:
                 raise SearchLimitError(
                     f"node budget {node_budget} exceeded while expanding level {level}"
@@ -256,8 +273,7 @@ def _levels(
                 # No superset of this representative can connect and span.
                 complete = False
                 continue
-            kept.append((parent, gens, counts,
-                         [e for e in firsts.values() if e is not None]))
+            kept.append((parent, gens, counts, first_edges))
         # Key -> (representative, its known automorphisms).
         found: dict[bytes, tuple[Hypergraph, list[list[int]]]] = {}
         for parent, gens, counts, first_edges in kept:
@@ -325,17 +341,20 @@ def _admit(
 
 
 def _candidate_orbits(
-    allowed: list[tuple[int, ...]], twin: list[int], r: int, gens: list[list[int]]
+    allowed: list[tuple[int, ...]], codes: list[int], pw: list[int],
+    gens: list[list[int]],
 ) -> list[int]:
     """For each allowed edge, an id of its orbit under the swaps of twins
-    (vertices with equal ids in ``twin``) and under ``gens``.
+    and under ``gens``.
 
-    An edge's twin orbit is the multiset of its twin ids, coded in base
-    r + 1.  Each generator permutes the twin classes, so it maps a whole
-    twin orbit onto one twin orbit, and one edge per orbit shows where.
+    ``pw[v]`` is (r + 1) ** (the twin class of v), and ``codes`` holds
+    each allowed edge's twin-orbit code, the sum of ``pw`` over its
+    vertices: the multiset of its twin classes in base r + 1, so twins
+    are the vertices of equal ``pw``.  Each generator permutes the twin
+    classes, so it maps a whole twin orbit onto one twin orbit, and one
+    edge per orbit shows where.  Without a generator that moves a class
+    the ids are ``codes`` itself.
     """
-    pw = [(r + 1) ** c for c in twin]
-    codes = [sum(map(pw.__getitem__, e)) for e in allowed]
     # A generator acts on the codes only through the twin class of each
     # vertex's image, so only distinct maps that move a class can merge.
     moves = {tuple([pw[u] for u in g]) for g in gens} - {tuple(pw)}

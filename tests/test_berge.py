@@ -282,6 +282,57 @@ def test_anchored_walk_witnesses_use_the_added_instance():
     assert min(checked.values()) > 50, checked
 
 
+# The SHA-256 of ``_walk_corpus_results()``'s repr, recorded before the
+# matcher took a free first instance without a search.  It pins the
+# instance assignment of every witness, not only its vertices.
+WALK_CORPUS_SHA256 = "03278d0c9464cc007efe2447bab895839870c8f342a369aed782a8be307a6d52"
+
+
+def _walk_corpus_results():
+    """``_walk`` results over a fixed random multi-hypergraph corpus: the
+    unanchored longest path, path at each length, and both cycle modes at
+    each length, then the same path and cycle queries anchored at every
+    vertex pair with an added instance."""
+    from bergeturan.berge import _bounds, _pair_index, _walk
+
+    rng = random.Random(2003)
+    out = []
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        r = rng.randint(2, min(4, n))
+        pool = list(itertools.combinations(range(n), r))
+        h = build(n, r, [rng.choice(pool) for _ in range(rng.randint(0, 9))])
+        index = _pair_index(h)
+        inst = len(h.edges)
+        out.append(_walk(index, _bounds(None, None, inst, n)[0]))
+        for k in range(1, n):
+            out.append(_walk(index, k))
+        for k in range(2, n + 1):
+            for mode in ("exact", "at_least"):
+                most, close_from, _ = _bounds(k, mode, inst, n)
+                out.append(_walk(index, most, close_from))
+        for pair in itertools.combinations(range(n), 2):
+            for k in range(1, n):
+                out.append(_walk(index, k, 0, (pair, inst)))
+            for k in range(2, n + 1):
+                for mode in ("exact", "at_least"):
+                    most, close_from, _ = _bounds(k, mode, inst + 1, n)
+                    out.append(_walk(index, most, close_from, (pair, inst)))
+    return out
+
+
+def test_walk_results_are_pinned():
+    """Vertices and instance tuples of every walk result over the corpus
+    hash to the recorded digest."""
+    import hashlib
+
+    results = _walk_corpus_results()
+    # The corpus reaches witnesses whose slots have several instances.
+    assert sum(f is not None and len(f[1]) > 1 for f in results) > 5000
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == WALK_CORPUS_SHA256
+
+
 def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
     """On a parent free of the configuration, the detector walks each
     anchor pair at most once over all candidate edges, so at most C(n, 2)

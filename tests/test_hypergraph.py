@@ -79,6 +79,30 @@ def test_build_orders_instances_canonically():
     assert a.edges == b.edges
 
 
+def test_with_edge_equals_sorting_the_enlarged_instance_list():
+    """Inserting at ``bisect_right`` gives the tuple of the old
+    construction, ``tuple(sorted(edges + (e,)))``, for every edge on
+    random multi-hypergraphs: edges already present, edges that go first
+    or last, and the empty hypergraph."""
+    import itertools
+
+    rng = random.Random(71)
+    corpus = [Hypergraph(n, r, ()) for r in (2, 3) for n in (r, r + 2)]
+    corpus += [random_hypergraph(rng, rng.randrange(r, 8), r, 9)
+               for r in (2, 3, 4) for _ in range(40)]
+    seen = {"present": 0, "first": 0, "last": 0, "empty": 0}
+    for h in corpus:
+        for e in itertools.combinations(range(h.n), h.r):
+            child = h.with_edge(e)
+            assert child.edges == tuple(sorted(h.edges + (e,))), (h, e)
+            assert (child.n, child.r) == (h.n, h.r)
+            seen["present"] += e in h.edges
+            seen["first"] += bool(h.edges) and e < h.edges[0]
+            seen["last"] += bool(h.edges) and e >= h.edges[-1]
+            seen["empty"] += not h.edges
+    assert min(seen.values()) > 20, seen
+
+
 # -- connectivity -----------------------------------------------------
 
 def test_connectivity_star():

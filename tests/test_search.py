@@ -108,6 +108,50 @@ def _automorphisms(h):
             == list(h.edges)]
 
 
+def test_orbit_codes_are_the_per_edge_sums(monkeypatch):
+    """The codes of all candidates, summed from the combinations of the
+    twin weights, equal each candidate's own ``sum(pw[v] for v in e)``
+    for random twin lists with r = 2..5, and two candidates share a code
+    iff their multisets of twin classes are equal.  In the search, each
+    parent's allowed edges and their codes stay aligned after the edges
+    at the multiplicity cap are removed."""
+    import itertools
+    import random
+
+    import bergeturan.search as search
+
+    rng = random.Random(83)
+    for r in (2, 3, 4, 5):
+        for _ in range(30):
+            n = rng.randrange(r, 10)
+            twin = []
+            for _ in range(n):
+                twin.append(rng.randrange(max(twin, default=-1) + 2))
+            pw = [(r + 1) ** c for c in twin]
+            edges = list(itertools.combinations(range(n), r))
+            codes = list(map(sum, itertools.combinations(pw, r)))
+            assert codes == [sum(pw[v] for v in e) for e in edges], (twin, r)
+            assert search._candidate_orbits(edges, codes, pw, []) == codes
+            classes = [sorted(twin[v] for v in e) for e in edges]
+            for (a, ca), (b, cb) in itertools.combinations(zip(codes, classes), 2):
+                assert (a == b) == (ca == cb), (twin, r)
+
+    orbits_of = search._candidate_orbits
+    parents = []
+
+    def check_codes(allowed, codes, pw, gens):
+        assert codes == [sum(pw[v] for v in e) for e in allowed]
+        parents.append(len(allowed))
+        return orbits_of(allowed, codes, pw, gens)
+
+    monkeypatch.setattr(search, "_candidate_orbits", check_codes)
+    for _ in search._levels(6, 3, FamilySpec("bp", 5, 2)):
+        pass
+    # Parents with edges at the cap of 2 have fewer allowed edges: as
+    # few as 16 of the 20.
+    assert len(parents) > 100 and min(parents) < 18, parents
+
+
 @pytest.mark.parametrize("n, r, spec, budget", [
     (6, 2, FamilySpec("bp", 6), None),
     (6, 2, FamilySpec("bp", 6), 600),
@@ -145,9 +189,9 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
     canon = search.canonical_form
     seeded = []
 
-    def record_orbits(allowed, twin, r, gens):
-        orbits = orbits_of(allowed, twin, r, gens)
-        merges = len(set(orbits_of(allowed, twin, r, []))) - len(set(orbits))
+    def record_orbits(allowed, codes, pw, gens):
+        orbits = orbits_of(allowed, codes, pw, gens)
+        merges = len(set(orbits_of(allowed, codes, pw, []))) - len(set(orbits))
         expanded.append((allowed, orbits, [list(g) for g in gens], merges))
         return orbits
 
