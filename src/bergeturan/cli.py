@@ -52,8 +52,9 @@ EXIT_POSTCONDITION = 4
 
 VERIFY_DETECTOR_N_CAP = 24
 
-WORKERS_HELP = ("accepted for compatibility; the search runs in one thread "
-                "and gives the same output for any value")
+
+class PostconditionError(Exception):
+    """A generator's output fails its own contract, one line per failure."""
 
 
 def _read_hypergraph(path: str) -> Hypergraph:
@@ -66,10 +67,11 @@ def _read_hypergraph(path: str) -> Hypergraph:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text``, ending in a newline, to stdout or to the file ``out``."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
@@ -79,24 +81,30 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-# -- subcommand implementations ------------------------------------------
+def _cycle_mode(args) -> str:
+    """The Berge cycle mode of ``--bc``; ``--at-least`` needs ``--bc``."""
+    if args.at_least and args.bc is None:
+        raise ValueError("--at-least applies only to --bc")
+    return "at_least" if args.at_least else "exact"
 
-def _cmd_construct(args) -> int:
+
+# -- subcommand implementations: each returns the text to emit -----------
+
+def _cmd_construct(args) -> str:
     h = make_family(args.family, args.n, args.r, args.k)
     if not args.skip_verify:
         check_bp = h.n <= VERIFY_DETECTOR_N_CAP
         res = verify_family_output(args.family, h, args.n, args.r, args.k,
                                    check_bp_free=check_bp)
         if not res.ok:
-            for msg in res.failures:
-                print(f"postcondition failure [{args.family}]: {msg}",
-                      file=sys.stderr)
-            return EXIT_POSTCONDITION
-    _emit(h.to_json() if args.format == "json" else h.to_text(), args.out)
-    return EXIT_OK
+            raise PostconditionError("\n".join(
+                f"postcondition failure [{args.family}]: {msg}"
+                for msg in res.failures))
+    return h.to_json() if args.format == "json" else h.to_text()
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> str:
+    mode = _cycle_mode(args)
     h = _read_hypergraph(args.file)
     report: dict = {
         "n": h.n,
@@ -108,7 +116,6 @@ def _cmd_check(args) -> int:
         has, w = contains_berge_path(h, args.bp, want_witness=True)
         report["family"] = f"BP{args.bp}"
     elif args.bc is not None:
-        mode = "at_least" if args.at_least else "exact"
         has, w = contains_berge_cycle(h, args.bc, mode, want_witness=True)
         report["family"] = f"BC{'>=' if args.at_least else ''}{args.bc}"
     else:
@@ -120,11 +127,10 @@ def _cmd_check(args) -> int:
         report["free"] = not has
     if w is not None:
         report["witness"] = w.to_json_obj()
-    _emit(_json_dump(report), args.out)
-    return EXIT_OK
+    return _json_dump(report)
 
 
-def _cmd_formula(args) -> int:
+def _cmd_formula(args) -> str:
     res = conn_bp_value(args.n, args.r, args.k)
     report = {"n": args.n, "r": args.r, "k": args.k, "formula": res.to_json_obj()}
     if res.refuted:
@@ -132,19 +138,15 @@ def _cmd_formula(args) -> int:
     if args.all_bounds:
         report["bounds"] = [b.to_json_obj() for b in
                             applicable_bounds(args.n, args.r, args.k)]
-    _emit(_json_dump(report), args.out)
-    return EXIT_OK
+    return _json_dump(report)
 
 
-def _make_spec(args) -> FamilySpec:
+def _cmd_exact(args) -> str:
+    mode = _cycle_mode(args)
     if args.bp is not None:
-        return FamilySpec("bp", args.bp, args.multiplicity)
-    kind = "bc_at_least" if args.at_least else "bc_exact"
-    return FamilySpec(kind, args.bc, args.multiplicity)
-
-
-def _cmd_exact(args) -> int:
-    spec = _make_spec(args)
+        spec = FamilySpec("bp", args.bp, args.multiplicity)
+    else:
+        spec = FamilySpec("bc_" + mode, args.bc, args.multiplicity)
     out = exact_ex_conn(
         args.n,
         args.r,
@@ -156,23 +158,20 @@ def _cmd_exact(args) -> int:
         force=args.force,
         checkpoint_path=args.checkpoint,
     )
-    _emit(_json_dump(out.to_json_obj(stable=not args.timing)), args.out)
-    return EXIT_OK
+    return _json_dump(out.to_json_obj(stable=not args.timing))
 
 
-def _cmd_lemma_witness(args) -> int:
+def _cmd_lemma_witness(args) -> str:
     h = _read_hypergraph(args.file)
     fn = sparse_set_constructive if args.constructive else sparse_set_check
     rep = fn(h, args.multiplicity)
-    _emit(_json_dump(rep.to_json_obj()), args.out)
-    return EXIT_OK
+    return _json_dump(rep.to_json_obj())
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args) -> str:
     rep = conjecture_check(args.n, args.r, args.k,
                            workers=args.workers, force=args.force)
-    _emit(_json_dump(rep.to_json_obj(stable=not args.timing)), args.out)
-    return EXIT_OK
+    return _json_dump(rep.to_json_obj(stable=not args.timing))
 
 
 def _best_construction(n: int, r: int, k: int) -> int | None:
@@ -192,7 +191,7 @@ def _best_construction(n: int, r: int, k: int) -> int | None:
     return best
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> str:
     lo, _, hi = args.n_range.partition("..")
     try:
         n_lo, n_hi = int(lo), int(hi)
@@ -224,8 +223,7 @@ def _cmd_table(args) -> int:
             f"{n},{args.r},{args.k},{exact},{formula},{regime},"
             f"{'' if best is None else best},{kl_str}"
         )
-    _emit("\n".join(rows) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(rows)
 
 
 # -- parser ----------------------------------------------------------------
@@ -237,37 +235,45 @@ def build_parser() -> argparse.ArgumentParser:
                     "constructions, formulas and structural checks.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write to this file what stdout would show")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; the search runs in "
+                             "one thread and gives the same output for any value")
+    search.add_argument("--force", action="store_true",
+                        help="override the desk-scale size limits")
 
-    c = sub.add_parser("construct", help="build a named extremal family")
+    def add(name: str, summary: str, *shared: argparse.ArgumentParser):
+        return sub.add_parser(name, help=summary, parents=[output, *shared])
+
+    c = add("construct", "build a named extremal family")
     c.add_argument("family", choices=family_names())
     c.add_argument("n", type=int)
     c.add_argument("r", type=int)
     c.add_argument("k", type=int, nargs="?")
     c.add_argument("--format", choices=("text", "json"), default="text")
-    c.add_argument("--out")
     c.add_argument("--skip-verify", action="store_true",
                    help="emit without checking the family's postconditions")
     c.set_defaults(fn=_cmd_construct)
 
-    c = sub.add_parser("check", help="detect Berge paths/cycles in a file")
+    c = add("check", "detect Berge paths/cycles in a file")
     c.add_argument("file")
     grp = c.add_mutually_exclusive_group()
     grp.add_argument("--bp", type=int, help="Berge path length to test")
     grp.add_argument("--bc", type=int, help="Berge cycle length to test")
     c.add_argument("--at-least", action="store_true",
                    help="with --bc: any cycle of length >= k")
-    c.add_argument("--out")
     c.set_defaults(fn=_cmd_check)
 
-    c = sub.add_parser("formula", help="closed-form value at (n, r, k)")
+    c = add("formula", "closed-form value at (n, r, k)")
     c.add_argument("n", type=int)
     c.add_argument("r", type=int)
     c.add_argument("k", type=int)
     c.add_argument("--all-bounds", action="store_true")
-    c.add_argument("--out")
     c.set_defaults(fn=_cmd_formula)
 
-    c = sub.add_parser("exact", help="exhaustive connected Turan number")
+    c = add("exact", "exhaustive connected Turan number", search)
     c.add_argument("n", type=int)
     c.add_argument("r", type=int)
     grp = c.add_mutually_exclusive_group(required=True)
@@ -275,61 +281,52 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--bc", type=int)
     c.add_argument("--at-least", action="store_true")
     c.add_argument("--multiplicity", type=int, default=1, metavar="M")
-    c.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     c.add_argument("--witness-cap", type=int, default=10)
     c.add_argument("--node-budget", type=int, default=None)
     c.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     c.add_argument("--checkpoint", metavar="PATH",
                    help="write level-complete state here and resume from it")
-    c.add_argument("--force", action="store_true",
-                   help="override the desk-scale size limits")
     c.add_argument("--timing", action="store_true",
                    help="include wall-clock fields in the report")
-    c.add_argument("--out")
     c.set_defaults(fn=_cmd_exact)
 
-    c = sub.add_parser("lemma-witness",
-                       help="sparse hyperedge-neighborhood set for a file")
+    c = add("lemma-witness", "sparse hyperedge-neighborhood set for a file")
     c.add_argument("file")
     c.add_argument("-m", "--multiplicity", type=int, default=1)
     c.add_argument("--constructive", action="store_true",
                    help="follow the longest-path construction instead of "
                         "exhaustive subset search")
-    c.add_argument("--out")
     c.set_defaults(fn=_cmd_lemma_witness)
 
-    c = sub.add_parser("conjecture", help="exact vs conjectured value")
+    c = add("conjecture", "exact vs conjectured value", search)
     c.add_argument("n", type=int)
     c.add_argument("r", type=int)
     c.add_argument("k", type=int)
-    c.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    c.add_argument("--force", action="store_true")
     c.add_argument("--timing", action="store_true")
-    c.add_argument("--out")
     c.set_defaults(fn=_cmd_conjecture)
 
-    c = sub.add_parser("table", help="CSV sweep over an n range")
+    c = add("table", "CSV sweep over an n range", search)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--n-range", required=True, metavar="A..B")
-    c.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    c.add_argument("--force", action="store_true")
-    c.add_argument("--out")
     c.set_defaults(fn=_cmd_table)
 
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        _emit(args.fn(args), args.out)
+    except PostconditionError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_POSTCONDITION
     except (ValueError, OSError) as exc:
         # FamilyParamError, FormulaRangeError, SearchLimitError and
         # HypergraphError are all ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
+    return EXIT_OK
 
 
 if __name__ == "__main__":

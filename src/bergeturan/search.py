@@ -549,6 +549,11 @@ def exact_ex_conn(
     _check_limits(n, r, spec, force)
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
+    # Written so that NaN, which compares false, is refused too.
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time_budget must be >= 0, got {time_budget}")
     t0 = time.perf_counter()
     start, listed, best_level, best_keys = (
         _load_checkpoint(checkpoint_path, n, r, spec) or (None, None, None, []))

@@ -38,11 +38,15 @@ def test_construct_round_trip_via_parse(capsys, tmp_path):
     assert canonical_key(from_json(path.read_text())) == canonical_key(h)
 
 
-def test_construct_postcondition_failure_exits_4(capsys):
+def test_construct_postcondition_failure_exits_4(capsys, tmp_path):
     code, out, err = run(capsys, "construct", "bp4-pair-hub", "10", "4")
     assert code == 4
     assert out == ""
     assert "Berge path of length 4" in err
+    path = tmp_path / "h.txt"
+    assert run(capsys, "construct", "bp4-pair-hub", "10", "4",
+               "--out", str(path)) == (4, "", err)
+    assert not path.exists()
 
 
 def test_construct_skip_verify_emits_anyway(capsys):
@@ -204,6 +208,54 @@ def test_bad_n_range_exits_2(capsys):
     code, _, err = run(capsys, "table", "--k", "3", "--r", "3",
                        "--n-range", "oops")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "8", "3", "--bp", "4"),
+    ("check", "{star}", "--bp", "2"),
+    ("formula", "16", "5", "5", "--all-bounds"),
+    ("table", "--k", "3", "--r", "3", "--n-range", "4..6"),
+    ("construct", "sunflower", "8", "3", "--format", "json"),
+    ("construct", "sunflower", "8", "3"),
+])
+def test_out_file_holds_what_stdout_shows(capsys, tmp_path, argv):
+    star, path = tmp_path / "star.txt", tmp_path / "out"
+    star.write_text("7 3\n0 1 2\n0 3 4\n0 5 6\n")
+    argv = [a.format(star=star) for a in argv]
+    code, shown, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == shown.encode()
+
+
+def test_out_in_a_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "ex.json"
+    code, out, err = run(capsys, "exact", "7", "3", "--bp", "3",
+                         "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("budget, value, message", [
+    ("--node-budget", "-1", "node_budget must be >= 0, got -1"),
+    ("--time-budget", "-1", "time_budget must be >= 0, got -1.0"),
+    ("--time-budget", "nan", "time_budget must be >= 0, got nan"),
+])
+def test_exact_refuses_a_bad_budget(capsys, budget, value, message):
+    code, out, err = run(capsys, "exact", "7", "3", "--bp", "3", budget, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "{pair}", "--bp", "2", "--at-least"),
+    ("check", "{pair}", "--at-least"),
+    ("exact", "6", "3", "--bp", "3", "--at-least"),
+])
+def test_at_least_without_bc_exits_2(capsys, tmp_path, argv):
+    pair = tmp_path / "pair.txt"
+    pair.write_text("4 3\n0 1 2\n0 1 3\n")
+    code, out, err = run(capsys, *[a.format(pair=pair) for a in argv])
+    assert (code, out, err) == (2, "", "error: --at-least applies only to --bc\n")
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -735,6 +735,29 @@ def test_witness_cap():
         exact_ex_conn(7, 3, FamilySpec("bp", 3), witness_cap=-1)
 
 
+@pytest.mark.parametrize("budget, message", [
+    ({"node_budget": -1}, "node_budget must be >= 0, got -1"),
+    ({"time_budget": -0.5}, "time_budget must be >= 0, got -0.5"),
+    ({"time_budget": float("nan")}, "time_budget must be >= 0, got nan"),
+])
+def test_bad_budgets_are_refused_before_the_search(tmp_path, budget, message):
+    """A negative budget, or a NaN time budget, which no comparison with
+    the clock would ever fire, is refused before a level is written."""
+    path = tmp_path / "ck.json"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        exact_ex_conn(7, 3, FamilySpec("bp", 3), checkpoint_path=str(path),
+                      **budget)
+    assert not path.exists()
+
+
+def test_zero_and_infinite_budgets_are_valid():
+    spec = FamilySpec("bp", 3)
+    with pytest.raises(SearchLimitError, match="node budget 0 exceeded"):
+        exact_ex_conn(7, 3, spec, node_budget=0)
+    out = exact_ex_conn(7, 3, spec, time_budget=float("inf"))
+    assert out.stable_json() == exact_ex_conn(7, 3, spec).stable_json()
+
+
 # -- population enumeration --------------------------------------------------
 
 def test_bp3_population_counts():
