@@ -65,9 +65,12 @@ class FormulaRangeError(ValueError):
     """Raised when a selector is evaluated outside its stated range."""
 
 
-def _need_uniformity(r: int) -> None:
+def _need_sizes(n: int, r: int) -> None:
+    """No r-edge fits on fewer than r vertices, so no bound applies there."""
     if r < 2:
         raise FormulaRangeError(f"need r >= 2, got r={r}")
+    if n < r:
+        raise FormulaRangeError(f"need n >= r, got n={n}, r={r}")
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +223,7 @@ def classical_bound(selector: str, n: int, r: int, k: int) -> FormulaResult:
     gsz21         : C(q, r-1)*(n-q) + C(q, r) + [2|k]*C(q, r-2), q = floor((k-1)/2),
                     connected, k >= 2r+13 >= 18, large n
     """
-    _need_uniformity(r)
+    _need_sizes(n, r)
     if selector == "kostochka_luo":
         if not (3 <= k <= r):
             raise FormulaRangeError(f"kostochka_luo needs 3 <= k <= r, got k={k}, r={r}")
@@ -281,7 +284,7 @@ def bc_value(selector: str, n: int, r: int, k: int) -> FormulaResult:
     egmstz     : n-1 for k = r+1; (n-1)(r+1)/r for k = r+2 (k >= 4)
     fkl_cycle  : ((n-1)/(k-2))*C(k-1, r), k >= r+3 >= 6
     """
-    _need_uniformity(r)
+    _need_sizes(n, r)
     if selector == "glsz_small":
         if not (r > k >= 3):
             raise FormulaRangeError(f"glsz_small needs r > k >= 3, got k={k}, r={r}")
@@ -323,7 +326,7 @@ BC_SELECTORS = ("glsz_small", "glsz_eq", "multi", "egmstz", "fkl_cycle")
 
 def applicable_bounds(n: int, r: int, k: int) -> list[FormulaResult]:
     """All classical path bounds whose preconditions hold at (n, r, k)."""
-    _need_uniformity(r)
+    _need_sizes(n, r)
     out = []
     for sel in CLASSICAL_SELECTORS:
         try:

@@ -37,9 +37,12 @@ below.
 Before that child is canonicalized it must pass McKay's cheap deletion
 test: no edge of the child may have a strictly larger invariant than the
 new edge, an edge's invariant being its vertices' degrees in descending
-order, then its multiplicity.  A child that fails is skipped.  Its class
-is still found if the level holds every free class and expands all of
-them: deleting an edge m of largest invariant leaves a free graph
+order, then its multiplicity, then, to break ties, its vertices' values
+after up to two rounds of refinement (``_passes_deletion_test``).  Any
+invariant of the pair (child, edge) serves, and the finer it is, the
+fewer children of one class pass.  A child that fails is skipped.  Its
+class is still found if the level holds every free class and expands all
+of them: deleting an edge m of largest invariant leaves a free graph
 isomorphic to a representative of the level, whose first child on the
 orbit of m's image is isomorphic to the skipped child and passes.  The
 next level then holds every free class too.  So a level first expands
@@ -198,8 +201,10 @@ def _levels(
     children of the kept parents.  A first child that fails
     ``_passes_deletion_test`` is skipped while no parent has been pruned
     in a fresh run, this level's expand pass included: another parent's
-    child in its class passes.  The time budget is checked before each
-    parent of either pass, and the node budget after each parent of the
+    child in its class passes.  Its invariant refines the child's vertex
+    values to break ties, so few of the children it lets through are in a
+    class the level already holds.  The time budget is checked before
+    each parent of either pass, and the node budget after each parent of the
     expand pass, so both hold inside a level and the search stops at
     most one parent's candidates past the node budget.
     """
@@ -278,12 +283,13 @@ def _levels(
         found: dict[bytes, tuple[Hypergraph, list[list[int]]]] = {}
         for parent, gens, counts, first_edges in kept:
             check_deadline()
-            degree = [0] * n
+            # Vertex v weighs (r + 1) ** (its degree in the parent).
+            weight = [1] * n
             for e in parent.edges:
                 for v in e:
-                    degree[v] += 1
+                    weight[v] *= r + 1
             for e in first_edges:
-                if not complete or _passes_deletion_test(counts, degree, e):
+                if not complete or _passes_deletion_test(counts, weight, e):
                     _admit(found, parent, e, gens)
         if not found:
             break
@@ -295,26 +301,52 @@ def _levels(
 
 
 def _passes_deletion_test(
-    counts: dict[tuple[int, ...], int], degree: list[int], e: tuple[int, ...]
+    counts: dict[tuple[int, ...], int], weight: list[int], e: tuple[int, ...]
 ) -> bool:
     """Whether no edge of parent + e has a larger invariant than e.
 
-    ``counts`` and ``degree`` are the parent's edge multiplicities and
-    vertex degrees.  An edge's invariant in the child is its vertices'
-    child degrees in descending order, then its child multiplicity; it
-    is preserved by isomorphisms, and ties are allowed.
+    ``counts`` holds the parent's edge multiplicities and ``weight`` its
+    vertex weights, (r + 1) ** degree.  In the child, the sum of an
+    edge's weights, its code, is the multiset of its vertices' degrees in
+    base r + 1, and it orders those multisets as their descending lists
+    do.  An edge's invariant in the child is its code, then its
+    multiplicity, then the multisets of its vertices' values after one
+    and after two rounds of refinement, each compared as a list in
+    descending order.  A round's new value of a vertex is the sum, over
+    the child's instances that contain it, of those instances' sums of
+    values, starting from the weights.  The invariant is preserved by
+    isomorphisms, ties are allowed, and a round is computed only while
+    another edge ties with e.
     """
-    degree = degree.copy()
+    weight = weight.copy()
     for v in e:
-        degree[v] += 1
-    own = sorted([degree[v] for v in e], reverse=True)
-    own.append(counts.get(e, 0) + 1)
+        weight[v] *= len(e) + 1
+    code = sum(map(weight.__getitem__, e))
+    own = counts.get(e, 0) + 1
+    # e itself has the code of e but one instance fewer, so it never ties.
+    tied = []
     for f, c in counts.items():
-        if f != e:
-            inv = sorted([degree[v] for v in f], reverse=True)
-            inv.append(c)
-            if inv > own:
-                return False
+        fc = sum(map(weight.__getitem__, f))
+        if fc > code or fc == code and c > own:
+            return False
+        if fc == code and c == own:
+            tied.append(f)
+    instances = {**counts, e: own}
+    values = weight
+    for _ in range(2):
+        if not tied:
+            break
+        refined = [0] * len(values)
+        for f, c in instances.items():
+            s = c * sum(map(values.__getitem__, f))
+            for v in f:
+                refined[v] += s
+        values = refined
+        mine = sorted(map(values.__getitem__, e), reverse=True)
+        theirs = [sorted(map(values.__getitem__, f), reverse=True) for f in tied]
+        if max(theirs) > mine:
+            return False
+        tied = [f for f, t in zip(tied, theirs) if t == mine]
     return True
 
 
@@ -645,8 +677,11 @@ def _sparse_preconditions(
 
     Hypotheses: connected, n > r, multiplicity <= m, longest Berge path
     length t at most r-1 (so a forbidden length k with t < k <= r
-    exists), and no Berge cycle of length exactly t.
+    exists), and no Berge cycle of length exactly t.  A cap m below 1 is
+    refused with a ValueError: no hypergraph with an edge meets it.
     """
+    if m < 1:
+        raise ValueError(f"multiplicity cap must be >= 1, got m={m}")
     if not is_connected(h):
         return "hypergraph is not connected/spanning", 0, None
     if h.n <= h.r:
@@ -689,7 +724,8 @@ def sparse_set_check(h: Hypergraph, m: int = 1) -> SparseSetReport:
     |N(S)| <= t (t = longest Berge path length).
 
     Preconditions are verified, never assumed; instances violating them
-    get verdict precondition_violated.  A precondition-satisfying
+    get verdict precondition_violated, and a cap m below 1 raises
+    ValueError.  A precondition-satisfying
     instance without any such S is a counterexample to the lemma.  The
     witness is the first small-case subset in bitmask order, else the
     first large-case one.

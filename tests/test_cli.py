@@ -172,6 +172,26 @@ def test_lemma_witness_both_modes(capsys, tmp_path):
     assert json.loads(out)["subset"] == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("mode", [(), ("--constructive",)])
+def test_lemma_witness_refuses_a_cap_below_one(capsys, tmp_path, m, mode):
+    # Like exact --multiplicity 0, a usage error: exit 2, nothing on stdout.
+    path = tmp_path / "star.txt"
+    run(capsys, "construct", "star", "7", "3", "--out", str(path))
+    code, out, err = run(capsys, "lemma-witness", str(path), "-m", m, *mode)
+    assert (code, out) == (2, "")
+    assert f"multiplicity cap must be >= 1, got m={m}" in err
+
+
+def test_table_leaves_bound_kl_empty_below_n_equal_r(capsys):
+    # No 3-edge fits on 1 or 2 vertices; kostochka_luo printed 2 there.
+    code, out, _ = run(capsys, "table", "--k", "3", "--r", "3",
+                       "--n-range", "1..3")
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,3,3,skipped,,,,", "2,3,3,skipped,,,,",
+                                    "3,3,3,1,2,exact,,2"]
+
+
 def test_conjecture_report(capsys):
     code, out, _ = run(capsys, "conjecture", "6", "3", "4")
     rep = json.loads(out)

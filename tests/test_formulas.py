@@ -224,6 +224,23 @@ def test_uniformity_below_two_is_out_of_range():
                 bc_value(sel, 40, r, 6)
 
 
+def test_no_bound_below_n_equal_r():
+    # No r-edge fits on fewer than r vertices.  kostochka_luo gave 2 at
+    # (1,3,3) and (2,3,3) before the check; at n = r it still applies.
+    for r in (2, 3, 5):
+        for n in range(r):
+            need = f"need n >= r, got n={n}, r={r}"
+            for k in range(2, 2 * r + 20):
+                with pytest.raises(FormulaRangeError, match=need):
+                    applicable_bounds(n, r, k)
+                for fn, selectors in ((classical_bound, CLASSICAL_SELECTORS),
+                                      (bc_value, BC_SELECTORS)):
+                    for sel in selectors:
+                        with pytest.raises(FormulaRangeError, match=need):
+                            fn(sel, n, r, k)
+    assert classical_bound("kostochka_luo", 3, 3, 3).value == 2
+
+
 # -- cross-oracle invariants -------------------------------------------------
 
 def test_hub_value_below_kostochka_luo_on_grid():

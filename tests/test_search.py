@@ -343,6 +343,85 @@ def test_deletion_test_is_off_after_a_checkpoint_resume(tmp_path, budget, level)
     assert exact_ex_conn(n, r, spec, checkpoint_path=str(path)).stable_json() == fresh
 
 
+def _deletion_verdicts(edges, n):
+    """For each distinct edge e of the instance list ``edges``: whether
+    the child ``edges`` passes the deletion test with e as its new edge,
+    and whether it passes the degree-and-multiplicity test alone."""
+    import bergeturan.search as search
+
+    out = {}
+    for e in set(edges):
+        parent = list(edges)
+        parent.remove(e)
+        counts, degree = {}, [0] * n
+        for f in parent:
+            counts[f] = counts.get(f, 0) + 1
+            for v in f:
+                degree[v] += 1
+        child_degree = [d + (v in e) for v, d in enumerate(degree)]
+
+        def plain(f, c):
+            return sorted([child_degree[v] for v in f], reverse=True) + [c]
+
+        own = plain(e, counts.get(e, 0) + 1)
+        weight = [(len(e) + 1) ** d for d in degree]
+        out[e] = (search._passes_deletion_test(counts, weight, e),
+                  all(plain(f, c) <= own for f, c in counts.items() if f != e))
+    return out
+
+
+def test_deletion_test_is_an_isomorphism_invariant():
+    """On random children at m = 1 and m = 2, relabeled by random vertex
+    permutations, every edge's verdict equals its image's.  Some edge of
+    each child passes; a passing edge also passes the degree test alone,
+    whose ties the refinement rounds break on many children."""
+    import itertools
+    import random
+
+    rng = random.Random(29)
+    broken = 0
+    for _ in range(400):
+        n = rng.randint(4, 9)
+        r = rng.randint(2, min(4, n - 1))
+        m = rng.choice((1, 2))
+        pool = list(itertools.combinations(range(n), r)) * m
+        edges = sorted(rng.sample(pool, rng.randint(1, min(len(pool), 3 * n))))
+        verdicts = _deletion_verdicts(edges, n)
+        assert any(new for new, _ in verdicts.values()), edges
+        assert all(old for new, old in verdicts.values() if new), edges
+        broken += sum(old and not new for new, old in verdicts.values())
+        for _ in range(3):
+            p = list(range(n))
+            rng.shuffle(p)
+            image = {e: tuple(sorted(p[v] for v in e)) for e in verdicts}
+            moved = _deletion_verdicts(sorted(image[e] for e in edges), n)
+            assert {image[e]: v for e, v in verdicts.items()} == moved, (edges, p)
+    assert broken > 100, broken
+
+
+@pytest.mark.parametrize("n, r, spec, calls_at_most, classes", [
+    (7, 2, FamilySpec("bp", 7), 1100, 1044),
+    (10, 5, FamilySpec("bp", 5), 370, 359),
+])
+def test_canonical_form_calls_are_near_the_class_count(
+        n, r, spec, calls_at_most, classes, monkeypatch):
+    """Breaking the degree test's ties by refinement takes the n = 7
+    graph population from 1,567 canonical_form calls to 1,058, and
+    (10,5,BP5), whose expand passes prune no parent, from 413 to its
+    class count.  No search can call fewer times than its levels hold
+    classes, the root included."""
+    import bergeturan.search as search
+
+    canon = search.canonical_form
+    calls = []
+    monkeypatch.setattr(search, "canonical_form",
+                        lambda h, automorphisms=None:
+                        calls.append(1) or canon(h, automorphisms))
+    found = sum(len(reps) for _, reps, _, _ in search._levels(n, r, spec))
+    assert found == classes
+    assert classes <= len(calls) <= calls_at_most, len(calls)
+
+
 # -- exact values --------------------------------------------------------
 
 def test_bp3_r3_pattern():

@@ -80,6 +80,14 @@ def test_multiplicity_cap_precondition():
     assert "multiplicity" in rep.reason
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_cap_below_one_is_refused(m):
+    # A cap below 1 is a usage error, as for FamilySpec, not a verdict.
+    for fn in (sparse_set_check, sparse_set_constructive):
+        with pytest.raises(ValueError, match=f"multiplicity cap must be >= 1, got m={m}"):
+            fn(STAR7, m)
+
+
 def test_constructive_agrees_with_exhaustive_on_population():
     # r=3, simple, no length-3 Berge path, n <= 8: every instance passing
     # the preconditions must yield a witness from both procedures.
