@@ -19,6 +19,20 @@ with a complete matching is precisely a Berge witness.  Paths and
 cycles differ only in where the walk stops and whether a sequence
 closes back to its start.
 
+The unanchored queries also skip interchangeable vertices
+(``hypergraph.interchangeable_classes``: swapping two of them maps the
+edge multiset onto itself), which keeps cliques, hubs and stars fast.
+The walk tries one vertex of each class as a start, and one as the
+first step from a start; those are the depths where no slot is matched
+yet.  There a swap of the tried vertex and a skipped one maps the
+skipped branch onto the tried one, or onto a part of it, which reached
+no new depth and closed no cycle.  A skipped cycle start stays marked
+used, as a walked one does, so later cycles avoid it.  Deeper, the
+matcher's state depends on the order of earlier branches, since a pop
+does not undo the reassignments an augmentation made; a skip there
+could change which instances a witness uses, so the walk stops
+skipping at the first slot.
+
 ``new_edge_detector`` serves a search that grows a hypergraph h one
 instance at a time.  Its precondition is that h is free of the
 configuration sought.  Then h plus one more instance of an edge e
@@ -40,9 +54,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, interchangeable_classes
 
 
 @dataclass(frozen=True)
@@ -162,11 +176,20 @@ class _PairMatcher:
         return tuple(self.match)
 
 
+def _class_firsts(vertices: Iterable[int], classes: Sequence[int]) -> list[int]:
+    """The first of ``vertices`` in each of their classes, in their order."""
+    firsts: dict[int, int] = {}
+    for v in vertices:
+        firsts.setdefault(classes[v], v)
+    return list(firsts.values())
+
+
 def _walk(
     index: list[dict[int, list[int]]],
     most: int,
     close_from: int = 0,
     anchor: tuple[tuple[int, ...], int] | None = None,
+    classes: Sequence[int] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The depth-first walk behind every query.
 
@@ -187,7 +210,26 @@ def _walk(
     vertices, and returns the first cycle closed; unanchored, each
     sequence starts at its minimum vertex.  The result is (vertices,
     instances), or None when nothing qualifies.
+
+    ``classes`` (unanchored only) gives each vertex the id of its class
+    of interchangeable vertices.  The walk then starts at the first
+    vertex of each class, and from a start steps to the first unused
+    vertex of each class.  At both depths the matcher is empty before and
+    after each branch.  Swapping a skipped vertex with the tried one of
+    its class is an automorphism that fixes the rest of ``seq`` and
+    ``used``, so it maps the skipped branch onto the tried branch; for a
+    skipped cycle start, whose walk excludes the tried start, the image
+    is the part of the tried branch that excludes the skipped vertex.
+    The tried branch reached no greater length than ``found`` and closed
+    no cycle, so the result is that of the walk without ``classes``,
+    instances included.  A skipped cycle start is still marked used, as
+    a walked one is; left unused, a later walk could pass through it and
+    its augmentations could move an earlier slot's instance.  Deeper,
+    the matcher holds the reassignments of earlier augmentations, so a
+    skip there could change a witness's instances, and none is made.
     """
+    if classes is None:  # every vertex its own class: nothing is skipped
+        classes = range(len(index))
     matcher = _PairMatcher()
     used = [False] * len(index)
     seq: list[int] = []
@@ -226,7 +268,12 @@ def _walk(
             seq.reverse()
             if stop:
                 return True
-        for nxt, insts in index[last].items():
+        steps = index[last].items()
+        if size == 1:
+            # No slot is matched yet: step to one vertex of each class.
+            firsts = _class_firsts((v for v in index[last] if not used[v]), classes)
+            steps = [(v, index[last][v]) for v in firsts]
+        for nxt, insts in steps:
             if used[nxt] or not matcher.push(insts):
                 continue
             seq.append(nxt)
@@ -250,16 +297,16 @@ def _walk(
             matcher.pop()
             used[u] = used[v] = False
         return found
+    starts = set(_class_firsts((v for v in range(len(index)) if index[v]), classes))
     for start in range(len(index)):
-        if not index[start]:
-            continue
-        seq.append(start)
-        used[start] = True
-        if extend():
-            break
-        seq.pop()
-        # A cycle sequence starts at its minimum vertex, so each finished
-        # start stays marked used.
+        if start in starts:
+            seq.append(start)
+            used[start] = True
+            if extend():
+                break
+            seq.pop()
+        # A cycle sequence starts at its minimum vertex, so each start,
+        # walked or skipped, stays marked used.
         used[start] = bool(close_from)
     return found
 
@@ -296,7 +343,8 @@ def _contains(
     most, close_from, cap = _bounds(k, mode, len(h.edges), h.n)
     witness = None
     if k <= cap:
-        found = _walk(_pair_index(h), most, close_from)
+        found = _walk(_pair_index(h), most, close_from,
+                      classes=interchangeable_classes(h))
         if _counts(found, k, close_from):
             witness = BergeWitness("cycle" if close_from else "path", *found)
     if want_witness:
@@ -322,7 +370,7 @@ def longest_berge_path(h: Hypergraph) -> tuple[int, BergeWitness | None]:
     found in ascending vertex order at the maximal length.
     """
     most, _, _ = _bounds(None, None, len(h.edges), h.n)
-    found = _walk(_pair_index(h), most)
+    found = _walk(_pair_index(h), most, classes=interchangeable_classes(h))
     if found is None:
         return 0, None
     return len(found[1]), BergeWitness("path", *found)

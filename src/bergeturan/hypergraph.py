@@ -275,6 +275,49 @@ def twin_classes(inc: list[list[int]]) -> list[int]:
     return [ids.setdefault(tuple(lst), len(ids)) for lst in inc]
 
 
+def interchangeable_classes(h: Hypergraph) -> list[int]:
+    """For each vertex, the id of its class of interchangeable vertices.
+
+    u and w are interchangeable iff swapping them maps the edge multiset
+    onto itself, i.e. iff the instances through u but not w, less u, are
+    those through w but not u, less w, counting repeated instances.
+    Twins are interchangeable, and isolated vertices form one class.  The
+    relation is transitive, since (a c) = (a b)(b c)(a b), so each vertex
+    is compared only with the first vertex of each class.  Two such
+    vertices have equal closed neighbourhoods when an instance holds
+    both, and equal open ones when none does, so only the first vertices
+    that share one of the two are compared, which keeps large asymmetric
+    inputs near linear.  Ids are numbered in order of their first vertex.
+    """
+    # links[v]: the instances through v, less v; in lexicographic order,
+    # since removing a common vertex keeps sorted tuples in order.
+    links: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
+    near: list[set[int]] = [set() for _ in range(h.n)]
+    for e in h.edges:
+        for v in e:
+            links[v].append(tuple(u for u in e if u != v))
+            near[v].update(e)
+    # A neighbourhood -> the first vertices that have it, open or closed.
+    firsts: dict[frozenset[int], list[int]] = {}
+    cls = [0] * h.n
+    count = 0
+    for v in range(h.n):
+        closed = frozenset(near[v])
+        keys = (closed, closed - {v})
+        for u in firsts.get(keys[0], []) + firsts.get(keys[1], []):
+            if (len(links[u]) == len(links[v])
+                    and [f for f in links[u] if v not in f]
+                    == [f for f in links[v] if u not in f]):
+                cls[v] = cls[u]
+                break
+        else:
+            cls[v] = count
+            count += 1
+            for key in keys:
+                firsts.setdefault(key, []).append(v)
+    return cls
+
+
 def hyperedge_neighborhood(h: Hypergraph, s: Iterable[int]) -> list[int]:
     """Instance ids of all edges meeting the vertex set ``s``."""
     sset = set(s)

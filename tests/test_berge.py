@@ -344,9 +344,9 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
     walk = berge._walk
     anchors = []
 
-    def counting_walk(index, most, close_from=0, anchor=None):
+    def counting_walk(index, most, close_from=0, anchor=None, classes=None):
         anchors.append(anchor and anchor[0])
-        return walk(index, most, close_from, anchor)
+        return walk(index, most, close_from, anchor, classes)
 
     monkeypatch.setattr(berge, "_walk", counting_walk)
     rng = random.Random(47)
@@ -380,6 +380,99 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
         assert len(set(anchors)) == len(anchors) <= comb(n, 2), (h, k, mode)
         assert all(len(pair) == 2 for pair in anchors)
     assert min(seen.values()) > 300, seen
+
+
+def _skip_corpus():
+    """Random multi-hypergraphs with a planted clique, whose vertices are
+    all interchangeable, about half of those with r >= 3 also with two
+    pendant twins (degree-1 vertices of one instance that also covers
+    other vertices), and every registered family member with r 3..5 and
+    n <= 10."""
+    from bergeturan.constructions import FamilyParamError, family_names, make_family
+
+    rng = random.Random(71)
+    corpus = []
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        r = rng.randint(2, min(4, n))
+        pool = list(itertools.combinations(range(n), r))
+        edges = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        clique = sorted(rng.sample(range(n), rng.randint(r, n)))
+        edges += list(itertools.combinations(clique, r)) * rng.randint(1, 2)
+        if r >= 3 and n <= 6 and rng.random() < 0.5:
+            # The twins take the lowest labels, so they come first as starts.
+            edges = [tuple(v + 2 for v in e) for e in edges]
+            edges.append((0, 1, *rng.sample(range(2, n + 2), r - 2)))
+            n += 2
+        rng.shuffle(edges)
+        corpus.append(build(n, r, edges))
+    members = {}
+    for name in family_names():
+        for r in range(3, 6):
+            for n in range(r, 11):
+                for k in (None, *range(3, 2 * r + 1)):
+                    try:
+                        h = make_family(name, n, r, k)
+                    except FamilyParamError:
+                        continue
+                    members.setdefault(h, None)
+    return corpus + list(members)
+
+
+def test_interchangeable_skip_changes_no_walk_result():
+    """Skipping interchangeable vertices while no slot is matched gives
+    every walk result of the walk without classes, vertices and instances:
+    the longest path, a path of each length k and a cycle of each length
+    in both modes, through ``_walk`` and through the public queries."""
+    from bergeturan.berge import _bounds, _counts, _pair_index, _walk
+    from bergeturan.hypergraph import interchangeable_classes
+
+    corpus = _skip_corpus()
+    symmetric = 0
+    for h in corpus:
+        index = _pair_index(h)
+        classes = interchangeable_classes(h)
+        symmetric += len(set(classes)) < len(h.support())
+        n, m = h.n, len(h.edges)
+        most, _, _ = _bounds(None, None, m, n)
+        plain = _walk(index, most)
+        assert _walk(index, most, classes=classes) == plain, h
+        assert longest_berge_path(h) == (
+            (len(plain[1]), BergeWitness("path", *plain)) if plain else (0, None)), h
+        queries = [(k, None) for k in range(1, n)]
+        queries += [(k, mode) for k in range(2, n + 1) for mode in ("exact", "at_least")]
+        for k, mode in queries:
+            most, close_from, cap = _bounds(k, mode, m, n)
+            plain = _walk(index, most, close_from)
+            assert _walk(index, most, close_from, classes=classes) == plain, (h, k, mode)
+            if mode is None:
+                has, w = contains_berge_path(h, k, want_witness=True)
+            else:
+                has, w = contains_berge_cycle(h, k, mode, want_witness=True)
+            expect = plain if k <= cap and _counts(plain, k, close_from) else None
+            got = w and (w.vertices, w.edge_instances)
+            assert (has, got) == (expect is not None, expect), (h, k, mode)
+    assert len(corpus) > 350 and symmetric > 250, (len(corpus), symmetric)
+    # The pendant twins 0 and 1 start no cycle.  The skipped start 1 stays
+    # used, as the walk without classes leaves it, so no later cycle's
+    # augmentation moves the first slot's instance from 0 to 1.
+    h = build(11, 4, [(0, 1, 2, 3), (2, 3, 5, 6), (2, 4, 9, 10), (3, 4, 7, 8)])
+    for mode in ("exact", "at_least"):
+        assert contains_berge_cycle(h, 3, mode, want_witness=True) == (
+            True, BergeWitness("cycle", (2, 3, 4), (0, 3, 2))), mode
+
+
+def test_clique_pendants_witness_is_pinned():
+    """The clique-pendants member (13,5,9) has a Berge path of length 8
+    and none of length 9; the witness's instances are pinned, since a
+    skip after the first matched slot would change them."""
+    from bergeturan.constructions import make_family
+
+    h = make_family("clique-pendants", 13, 5, 9)
+    _, w = contains_berge_path(h, 8, want_witness=True)
+    assert w == BergeWitness(
+        "path", (7, 0, 1, 2, 4, 5, 6, 3, 8), (3, 0, 1, 10, 9, 11, 2, 4))
+    assert not contains_berge_path(h, 9)
 
 
 # -- cycles ------------------------------------------------------------

@@ -17,6 +17,7 @@ from bergeturan.hypergraph import (
     from_text,
     hyperedge_neighborhood,
     induced_subhypergraph,
+    interchangeable_classes,
     is_connected,
     relabel,
     twin_classes,
@@ -565,6 +566,33 @@ def test_twin_classes_are_equal_incidence_lists():
                 assert relabel(h, tuple(perm)) == h, (h, u, w)
                 pairs += 1
     assert pairs > 1000, pairs
+
+
+def test_interchangeable_classes_are_the_edge_preserving_swaps():
+    """u and w share an interchangeable class iff swapping them maps the
+    sorted instance tuple onto itself, on random multi-hypergraphs with
+    repeated instances and isolated vertices; twin classes refine the
+    classes, and ids are numbered in order of each class's first vertex."""
+    import itertools
+
+    corpus = _random_multi_corpus() + _symmetric_corpus()
+    seen = {"multi": 0, "isolated": 0, "swaps": 0, "non-twin swaps": 0}
+    for h in corpus:
+        cls = interchangeable_classes(h)
+        twin = twin_classes(h.vertex_instances())
+        firsts = list(dict.fromkeys(cls))
+        assert firsts == list(range(len(firsts))), h
+        edges = sorted(h.edges)
+        for u, w in itertools.combinations(range(h.n), 2):
+            swap = {u: w, w: u}
+            swapped = sorted(tuple(sorted(swap.get(v, v) for v in e)) for e in h.edges)
+            assert (cls[u] == cls[w]) == (swapped == edges), (h, u, w)
+            assert twin[u] != twin[w] or cls[u] == cls[w], (h, u, w)
+            seen["swaps"] += cls[u] == cls[w]
+            seen["non-twin swaps"] += cls[u] == cls[w] and twin[u] != twin[w]
+        seen["multi"] += h.max_multiplicity() > 1
+        seen["isolated"] += len(h.support()) < h.n - 1
+    assert min(seen.values()) > 100, seen
 
 
 @pytest.mark.parametrize("name", ["star K_{1,11}", "sunflower(12, 3)"])
