@@ -33,6 +33,21 @@ does not undo the reassignments an augmentation made; a skip there
 could change which instances a witness uses, so the walk stops
 skipping at the first slot.
 
+The unanchored queries first compare k with a degree cap.  Let D2 be
+the number of vertices in at least two instances and D1 the number in
+exactly one.  Every vertex of a Berge cycle, and every interior vertex
+of a Berge path, lies in the two distinct instances of its two pairs.
+So a cycle has at most D2 instances, and a path with k instances, whose
+k + 1 vertices are k - 1 interior ones and two ends, has k + 1 <=
+D2 + min(2, D1).  A query for a longer k answers "no" with no index,
+classes or walk, as the walk would.  A longest path walk stops once a
+path reaches the path cap: up to then it takes the uncapped walk's
+steps, and that walk records no longer path afterwards, so the witness
+is the same.  The cycle
+walk's ``most`` in "at_least" mode is not capped: a smaller ``most``
+cuts growth, which changes the matcher's history and so could change
+later witness instances.  The anchored detector uses no degree cap.
+
 ``new_edge_detector`` serves a search that grows a hypergraph h one
 instance at a time.  Its precondition is that h is free of the
 configuration sought.  Then h plus one more instance of an edge e
@@ -53,6 +68,7 @@ witness the least one that starts at its minimum vertex.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -331,6 +347,15 @@ def _bounds(
     return (k if mode == "exact" else cap), k, cap
 
 
+def _degree_cap(h: Hypergraph, cycle: bool) -> int:
+    """The longest Berge cycle (``cycle``) or path the degrees of h allow:
+    D2 or D2 + min(2, D1) - 1, for D2 vertices in at least two instances
+    and D1 in exactly one (see the module docstring)."""
+    degrees = Counter(itertools.chain.from_iterable(h.edges)).values()
+    twice = sum(d > 1 for d in degrees)
+    return twice if cycle else twice + min(2, len(degrees) - twice) - 1
+
+
 def _counts(found: tuple | None, k: int, close_from: int) -> bool:
     """A walk result is a witness when a cycle closed or a path has k instances."""
     return found is not None and (close_from > 0 or len(found[1]) == k)
@@ -339,10 +364,17 @@ def _counts(found: tuple | None, k: int, close_from: int) -> bool:
 def _contains(
     h: Hypergraph, k: int, mode: str | None, want_witness: bool
 ) -> bool | tuple[bool, BergeWitness | None]:
-    """The decision behind both public queries; ``mode`` as in ``_bounds``."""
+    """The decision behind both public queries; ``mode`` as in ``_bounds``.
+
+    After ``_bounds`` has validated the query, a k above the degree cap
+    is answered "no" with no walk: no path or cycle that long exists.
+    The walk's ``most`` is that of ``_bounds``, uncapped, so the
+    matcher's history and every witness's instances stay those of the
+    full walk.
+    """
     most, close_from, cap = _bounds(k, mode, len(h.edges), h.n)
     witness = None
-    if k <= cap:
+    if k <= min(cap, _degree_cap(h, close_from > 0)):
         found = _walk(_pair_index(h), most, close_from,
                       classes=interchangeable_classes(h))
         if _counts(found, k, close_from):
@@ -368,8 +400,13 @@ def longest_berge_path(h: Hypergraph) -> tuple[int, BergeWitness | None]:
 
     The empty hypergraph yields (0, None).  The witness is the first one
     found in ascending vertex order at the maximal length.
+
+    The walk stops as soon as a path reaches the degree cap, since no
+    longer one exists.  Up to that moment it has taken the steps of the
+    walk without the cap, which would record that same path and never
+    replace it, so the witness is the same.
     """
-    most, _, _ = _bounds(None, None, len(h.edges), h.n)
+    most = min(_bounds(None, None, len(h.edges), h.n)[0], _degree_cap(h, False))
     found = _walk(_pair_index(h), most, classes=interchangeable_classes(h))
     if found is None:
         return 0, None

@@ -63,6 +63,22 @@ def brute_longest_path(h):
     return t
 
 
+def brute_berge(h, k, closed):
+    """Whether h has a Berge path (a cycle if ``closed``) with k instances:
+    every vertex sequence (a cycle's from its minimum vertex) against
+    every choice of one instance per pair."""
+    holding = {(u, v): [i for i, e in enumerate(h.edges) if u in e and v in e]
+               for u, v in itertools.permutations(range(h.n), 2)}
+    for verts in itertools.permutations(range(h.n), k if closed else k + 1):
+        if closed and verts[0] != min(verts):
+            continue
+        ends = verts[1:] + verts[:1] if closed else verts[1:]
+        lists = [holding[pair] for pair in zip(verts, ends)]
+        if any(len(set(c)) == k for c in itertools.product(*lists)):
+            return True
+    return False
+
+
 def assignable(h, verts, closed):
     """True when the consecutive pairs of ``verts`` (read cyclically if
     ``closed``) lie in distinct instances."""
@@ -382,14 +398,29 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
     assert min(seen.values()) > 300, seen
 
 
+def _family_members():
+    """Every distinct registered family member with r 3..5 and n <= 10."""
+    from bergeturan.constructions import FamilyParamError, family_names, make_family
+
+    members = {}
+    for name in family_names():
+        for r in range(3, 6):
+            for n in range(r, 11):
+                for k in (None, *range(3, 2 * r + 1)):
+                    try:
+                        h = make_family(name, n, r, k)
+                    except FamilyParamError:
+                        continue
+                    members.setdefault(h, None)
+    return list(members)
+
+
 def _skip_corpus():
     """Random multi-hypergraphs with a planted clique, whose vertices are
     all interchangeable, about half of those with r >= 3 also with two
     pendant twins (degree-1 vertices of one instance that also covers
     other vertices), and every registered family member with r 3..5 and
     n <= 10."""
-    from bergeturan.constructions import FamilyParamError, family_names, make_family
-
     rng = random.Random(71)
     corpus = []
     for _ in range(300):
@@ -406,17 +437,7 @@ def _skip_corpus():
             n += 2
         rng.shuffle(edges)
         corpus.append(build(n, r, edges))
-    members = {}
-    for name in family_names():
-        for r in range(3, 6):
-            for n in range(r, 11):
-                for k in (None, *range(3, 2 * r + 1)):
-                    try:
-                        h = make_family(name, n, r, k)
-                    except FamilyParamError:
-                        continue
-                    members.setdefault(h, None)
-    return corpus + list(members)
+    return corpus + _family_members()
 
 
 def test_interchangeable_skip_changes_no_walk_result():
@@ -473,6 +494,110 @@ def test_clique_pendants_witness_is_pinned():
     assert w == BergeWitness(
         "path", (7, 0, 1, 2, 4, 5, 6, 3, 8), (3, 0, 1, 10, 9, 11, 2, 4))
     assert not contains_berge_path(h, 9)
+
+
+def _pendant_corpus():
+    """Random multi-hypergraphs on a core of vertices, most with pendant
+    vertices (each of those in one instance, together with core
+    vertices), under a random relabeling."""
+    rng = random.Random(83)
+    corpus = []
+    for _ in range(400):
+        n = rng.randint(3, 9)
+        r = rng.randint(2, min(4, n))
+        core = rng.randint(r, n)
+        pool = list(itertools.combinations(range(core), r))
+        edges = [rng.choice(pool) for _ in range(rng.randint(0, 7))]
+        for v in range(core, n):
+            if rng.random() < 0.8:
+                edges.append((*rng.sample(range(core), r - 1), v))
+        label = rng.sample(range(n), n)
+        corpus.append(build(n, r, [[label[v] for v in e] for e in edges]))
+    return corpus
+
+
+def test_degree_cap_changes_no_query_result():
+    """The degree cap skips only queries that the walk answers "no", and
+    the longest path walk stopped at the cap returns the full walk's
+    result: every public query equals ``_walk`` under ``_bounds`` alone,
+    witnesses included.  On inputs with n <= 7 a brute force finds no
+    path or cycle longer than the cap, and an invalid query raises as
+    before on every input, also for a k above the cap."""
+    from bergeturan.berge import _bounds, _counts, _degree_cap, _pair_index, _walk
+    from bergeturan.hypergraph import interchangeable_classes
+
+    skipped = stopped = brute = 0
+    for h in _pendant_corpus() + _family_members():
+        index, classes = _pair_index(h), interchangeable_classes(h)
+        n, m = h.n, len(h.edges)
+        path_cap, cycle_cap = _degree_cap(h, False), _degree_cap(h, True)
+        most = _bounds(None, None, m, n)[0]
+        full = _walk(index, most, classes=classes)
+        assert longest_berge_path(h) == (
+            (len(full[1]), BergeWitness("path", *full)) if full else (0, None)), h
+        stopped += full is not None and len(full[1]) == path_cap < most
+        queries = [(k, None) for k in range(1, n + 1)]
+        queries += [(k, mode) for k in range(2, n + 2) for mode in ("exact", "at_least")]
+        for k, mode in queries:
+            most, close_from, cap = _bounds(k, mode, m, n)
+            found = _walk(index, most, close_from, classes=classes) if k <= cap else None
+            expect = found if _counts(found, k, close_from) else None
+            if mode is None:
+                has, w = contains_berge_path(h, k, want_witness=True)
+            else:
+                has, w = contains_berge_cycle(h, k, mode, want_witness=True)
+            got = w and (w.vertices, w.edge_instances)
+            assert (has, got) == (expect is not None, expect), (h, k, mode)
+            if k > (path_cap if mode is None else cycle_cap):
+                skipped += k <= cap
+                assert expect is None, (h, k, mode)
+                if mode == "exact":
+                    with pytest.raises(ValueError, match="unknown cycle mode 'sometimes'"):
+                        contains_berge_cycle(h, k, "sometimes")
+                    with pytest.raises(ValueError, match="unknown cycle mode None"):
+                        contains_berge_cycle(h, k, None)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="path length must be >= 1"):
+                contains_berge_path(h, k)
+        for k in (1, 0):
+            with pytest.raises(ValueError, match="cycle length must be >= 2"):
+                contains_berge_cycle(h, k, "at_least")
+        if n <= 7:
+            brute += 1
+            for k in range(max(1, path_cap + 1), min(m, n - 1) + 1):
+                assert not brute_berge(h, k, False), (h, k)
+            for k in range(max(2, cycle_cap + 1), min(m, n) + 1):
+                assert not brute_berge(h, k, True), (h, k)
+    assert skipped > 1000 and stopped > 100 and brute > 300, (skipped, stopped, brute)
+
+
+def test_degree_cap_skips_the_walk_and_stops_the_longest_path(monkeypatch):
+    """On clique-pendants (13,5,9) the path cap is 8: asking for a path of
+    length 9 builds no pair index, no classes and no walk, and the
+    longest path is one walk with ``most`` 8 that returns the pinned
+    witness."""
+    from bergeturan import berge
+    from bergeturan.constructions import make_family
+
+    calls = []
+
+    def spy(name):
+        real = getattr(berge, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append((name, args[1] if name == "_walk" else None))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(berge, name, wrapped)
+
+    for name in ("_walk", "_pair_index", "interchangeable_classes"):
+        spy(name)
+    h = make_family("clique-pendants", 13, 5, 9)
+    assert not contains_berge_path(h, 9)
+    assert calls == []
+    assert longest_berge_path(h) == (8, BergeWitness(
+        "path", (7, 0, 1, 2, 4, 5, 6, 3, 8), (3, 0, 1, 10, 9, 11, 2, 4)))
+    assert [c for c in calls if c[0] == "_walk"] == [("_walk", 8)]
 
 
 # -- cycles ------------------------------------------------------------

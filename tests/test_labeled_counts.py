@@ -19,7 +19,13 @@ from math import factorial
 import pytest
 
 from bergeturan.hypergraph import Hypergraph, is_connected
-from bergeturan.search import FamilySpec, _levels
+from bergeturan.search import (
+    FamilySpec,
+    SearchLimitError,
+    _levels,
+    _load_checkpoint,
+    exact_ex_conn,
+)
 
 
 def _labeled_counts(n, r, spec):
@@ -95,3 +101,17 @@ def test_labeled_counts_match_a_resumed_search():
             break
     assert _class_counts(n, r, spec, start=(reps, tested)) == {
         3: 735, 4: 420, 5: 21}
+
+
+def test_labeled_counts_match_a_search_resumed_from_its_checkpoint(tmp_path):
+    """Stopped by its node budget while expanding level 3, (7,3,BP4)
+    leaves its level-3 representatives in the checkpoint file; resumed
+    from that file, it still holds every class of levels 3-5."""
+    n, r, spec = 7, 3, FamilySpec("bp", 4)
+    path = str(tmp_path / "ck.json")
+    with pytest.raises(SearchLimitError, match="expanding level 3"):
+        exact_ex_conn(n, r, spec, checkpoint_path=path, node_budget=200)
+    start, _, _, _ = _load_checkpoint(path, n, r, spec)
+    reps, tested = start
+    assert {h.num_edges() for h in reps} == {3} and tested == 168
+    assert _class_counts(n, r, spec, start=start) == {3: 735, 4: 420, 5: 21}
