@@ -96,6 +96,11 @@ def _cmd_construct(args) -> str:
         check_bp = h.n <= VERIFY_DETECTOR_N_CAP
         res = verify_family_output(args.family, h, args.n, args.r, args.k,
                                    check_bp_free=check_bp)
+        if not check_bp:
+            print(f"note: n={h.n} is above the verify cap {VERIFY_DETECTOR_N_CAP}, "
+                  f"so Berge path freeness was not checked; run "
+                  f"`bergeturan check FILE --bp {res.k}` to check it",
+                  file=sys.stderr)
         if not res.ok:
             raise PostconditionError("\n".join(
                 f"postcondition failure [{args.family}]: {msg}"

@@ -8,7 +8,7 @@ deduplicating on canonical form.  Freeness of the forbidden family is
 hereditary downward, so a violating child prunes its whole subtree.
 Every parent expanded is therefore family-free, so a child violates
 exactly when a forbidden configuration runs through its new instance;
-``FamilySpec.child_violates`` tests only those, over one pair index per
+``berge.new_edge_detector`` tests only those, over one pair index per
 parent, instead of running the full detector on every child.  Such a
 configuration starts at a vertex pair of the new edge and continues in
 the parent alone, so the answer for a pair is the same for every
@@ -62,6 +62,12 @@ generation chain, so nothing is lost).
 Levels are expanded one parent at a time in the calling thread, in the
 order of their canonical keys, so value, witnesses and node counts are
 deterministic.
+
+``exact_ex_conn`` searches nothing where the family cannot fit: a Berge
+path of length k needs k + 1 vertices and a Berge cycle of length k
+needs k, so on fewer every multiset is free and the complete multiset is
+the answer.  ``enumerate_connected_free`` still searches such points,
+since it lists every class.
 """
 
 from __future__ import annotations
@@ -71,9 +77,10 @@ import json
 import os
 import time
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from math import comb
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .berge import (
     BergeWitness,
@@ -129,18 +136,6 @@ class FamilySpec:
             return contains_berge_path(h, self.k)
         return contains_berge_cycle(h, self.k, mode)
 
-    def child_violates(self, parent: Hypergraph) -> Callable[[tuple[int, ...]], bool]:
-        """A test ``e -> violates(parent.with_edge(e))`` for a ``parent``
-        that does not violate.
-
-        Exact only under that precondition, which every parent the level
-        search expands meets: a witness in the child must then use the
-        added instance, so the test walks only through it, over one pair
-        index of ``parent`` shared by all its candidates, and at most once
-        per vertex pair of the new edge.
-        """
-        return new_edge_detector(parent, self.k, _CYCLE_MODES[self.kind])
-
     def label(self) -> str:
         tag = {"bp": "BP", "bc_exact": "BC", "bc_at_least": "BC>="}[self.kind]
         return f"{tag}{self.k},m<={self.multiplicity_cap}"
@@ -186,8 +181,11 @@ def _levels(
     representatives is canonicalized once, which gives its key and its
     generators, and it is yielded with those keys like every other level,
     so a caller can check that a resumed level lists canonical forms in
-    ascending key order before anything is expanded.  Every parent
-    expanded is free of the forbidden family.  Of each orbit of candidate
+    ascending key order before anything is expanded.  It searches every
+    point, even one where every multiset is free (``exact_ex_conn``
+    answers those without it).  Every parent expanded is free of the
+    forbidden family, so ``berge.new_edge_detector``, built once per
+    parent, tests its candidates exactly.  Of each orbit of candidate
     edges under the swaps of the parent's twins and its carried
     generators, only the first child in candidate order is tested and
     canonicalized, seeded with the generators that fix its new edge;
@@ -195,18 +193,20 @@ def _levels(
     codes for all candidates come from one pass over the combinations of
     its twin weights, in candidate order, and the edges at the
     multiplicity cap are dropped from the candidates and the codes
-    together.  Each level takes two
-    passes: the expand pass tests every parent's candidates and applies
-    the reachability prune, and the admit pass canonicalizes the first
-    children of the kept parents.  A first child that fails
-    ``_passes_deletion_test`` is skipped while no parent has been pruned
-    in a fresh run, this level's expand pass included: another parent's
-    child in its class passes.  Its invariant refines the child's vertex
-    values to break ties, so few of the children it lets through are in a
-    class the level already holds.  The time budget is checked before
-    each parent of either pass, and the node budget after each parent of the
-    expand pass, so both hold inside a level and the search stops at
-    most one parent's candidates past the node budget.
+    together.  One pass over the parent's incidences gives its twin
+    classes and, if it is kept, its vertex weights for the deletion test.
+    Each level takes two passes: the expand pass tests every parent's
+    candidates and applies the reachability prune, and the admit pass
+    canonicalizes the first children of the kept parents.  A first child
+    that fails ``_passes_deletion_test`` is skipped while no parent has
+    been pruned in a fresh run, this level's expand pass included:
+    another parent's child in its class passes.  Its invariant refines
+    the child's vertex values to break ties, so few of the children it
+    lets through are in a class the level already holds.  The time
+    budget is checked before each parent of either pass, and the node
+    budget after each parent of the expand pass, so both hold inside a
+    level and the search stops at most one parent's candidates past the
+    node budget.
     """
     candidates = list(itertools.combinations(range(n), r))
     position = {e: i for i, e in enumerate(candidates)}
@@ -228,21 +228,24 @@ def _levels(
     # Whether the current level holds every free class, which the
     # deletion test needs: true from a fresh root until a parent is pruned.
     complete = start is None
+    mode = _CYCLE_MODES[spec.kind]
     while current:
         yield level, current, keys, tested
         # Per parent not pruned: (parent, its generators, its edge counts,
-        # the new edge of each feasible orbit's first child).
-        kept: list[tuple[Hypergraph, list, dict, list[tuple[int, ...]]]] = []
+        # its vertex weights, the new edge of each feasible orbit's first
+        # child).
+        kept: list[tuple[Hypergraph, list, Counter, list[int],
+                         list[tuple[int, ...]]]] = []
         for parent, gens in zip(current, carried):
             check_deadline()
-            counts: dict[tuple[int, ...], int] = {}
-            for e in parent.edges:
-                counts[e] = counts.get(e, 0) + 1
-            violates_with = spec.child_violates(parent)
+            counts = Counter(parent.edges)
+            inc = parent.vertex_instances()
+            # Exact because the parent is free: see the module docstring.
+            violates_with = new_edge_detector(parent, spec.k, mode)
             # Twin class c weighs (r + 1) ** c, so an edge's twin-orbit
             # code is the sum of its vertices' weights; the combinations
             # of the weights give the codes in candidate order.
-            pw = [(r + 1) ** c for c in twin_classes(parent.vertex_instances())]
+            pw = [(r + 1) ** c for c in twin_classes(inc)]
             allowed = candidates.copy()
             codes = list(map(sum, itertools.combinations(pw, r)))
             # Drop the edges at the cap from the back, so that the
@@ -278,16 +281,13 @@ def _levels(
                 # No superset of this representative can connect and span.
                 complete = False
                 continue
-            kept.append((parent, gens, counts, first_edges))
+            # Vertex v weighs (r + 1) ** (its degree in the parent).
+            kept.append((parent, gens, counts, [(r + 1) ** len(i) for i in inc],
+                         first_edges))
         # Key -> (representative, its known automorphisms).
         found: dict[bytes, tuple[Hypergraph, list[list[int]]]] = {}
-        for parent, gens, counts, first_edges in kept:
+        for parent, gens, counts, weight, first_edges in kept:
             check_deadline()
-            # Vertex v weighs (r + 1) ** (its degree in the parent).
-            weight = [1] * n
-            for e in parent.edges:
-                for v in e:
-                    weight[v] *= r + 1
             for e in first_edges:
                 if not complete or _passes_deletion_test(counts, weight, e):
                     _admit(found, parent, e, gens)
@@ -574,6 +574,15 @@ def exact_ex_conn(
     duplicated, reordered or relabeled representative is refused.  The
     saved level is then written out again, unchanged.
 
+    A Berge path of length k needs k + 1 vertices and a Berge cycle of
+    length k, or at least k, needs k.  So for a path with n <= k, or a
+    cycle with n < k, every multiset is free, and the answer is the
+    complete multiset, every vertex set at the multiplicity cap: m *
+    C(n, r) instances, one class, found with no search
+    (``nodes_explored`` 0).  The limits, the arguments and a checkpoint
+    are checked first, as for any run, and the checkpoint then gets the
+    finished state: no representatives, none tested, that one key.
+
     ``workers`` does not change the search: every level is expanded in
     the calling thread.  It is kept for a process pool over subtrees,
     which would give it a meaning again.
@@ -590,10 +599,18 @@ def exact_ex_conn(
     start, listed, best_level, best_keys = (
         _load_checkpoint(checkpoint_path, n, r, spec) or (None, None, None, []))
 
-    for level, reps, keys, tested in _levels(
-        n, r, spec, node_budget=node_budget, time_budget=time_budget,
-        start=start,
-    ):
+    if n < spec.k + (spec.kind == "bp"):
+        # Every multiset is free, so the run is finished with no search:
+        # only its final state is passed on, and no level is resumed.
+        complete = Hypergraph(n, r, tuple(
+            e for e in itertools.combinations(range(n), r)
+            for _ in range(spec.multiplicity_cap)))
+        best_level, best_keys = complete.num_edges(), [canonical_form(complete)[0]]
+        listed, levels = None, [(best_level, [], [], 0)]
+    else:
+        levels = _levels(n, r, spec, node_budget=node_budget,
+                         time_budget=time_budget, start=start)
+    for level, reps, keys, tested in levels:
         if listed is not None:
             # The resumed level, canonicalized afresh and not yet expanded.
             if keys != listed or keys != sorted(set(keys)):
@@ -608,11 +625,10 @@ def exact_ex_conn(
             _save_checkpoint(checkpoint_path, n, r, spec, keys, tested,
                              best_keys)
     elapsed = (time.perf_counter() - t0) * 1000
-    if best_level is None:
-        return SearchOutcome("infeasible", None, [], tested, elapsed, 0,
-                             n, r, spec.label())
+    # Without a best level there are no best keys either.
     witnesses = [k.decode("ascii") for k in best_keys[:witness_cap]]
-    return SearchOutcome("value", best_level, witnesses, tested, elapsed,
+    return SearchOutcome("infeasible" if best_level is None else "value",
+                         best_level, witnesses, tested, elapsed,
                          len(best_keys), n, r, spec.label())
 
 

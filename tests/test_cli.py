@@ -56,6 +56,22 @@ def test_construct_skip_verify_emits_anyway(capsys):
     assert out.startswith("10 4")
 
 
+def test_construct_above_the_verify_cap_notes_the_skipped_check(capsys):
+    """Above n = 24 ``construct`` skips the freeness check, which it says
+    in one stderr line; stdout and the exit code stay those of
+    ``--skip-verify``.  This member does contain a Berge path of length 6."""
+    from bergeturan.berge import contains_berge_path
+
+    code, out, err = run(capsys, "construct", "cycle-hub", "29", "6", "6")
+    assert code == 0
+    assert err.startswith("note: ") and err.count("\n") == 1, err
+    assert "verify cap 24" in err and "`bergeturan check FILE --bp 6`" in err
+    assert run(capsys, "construct", "cycle-hub", "29", "6", "6",
+               "--skip-verify") == (0, out, "")
+    assert contains_berge_path(from_text(out), 6)
+    assert run(capsys, "construct", "star", "7", "3")[2] == ""
+
+
 def test_construct_parameter_error_exits_2(capsys):
     code, _, err = run(capsys, "construct", "star", "6", "3")
     assert code == 2
@@ -115,6 +131,24 @@ def test_exact_infeasible_is_exit_zero(capsys):
     code, out, _ = run(capsys, "exact", "6", "3", "--bp", "3")
     assert code == 0
     assert json.loads(out)["status"] == "infeasible"
+
+
+def test_exact_answers_the_trivial_regime_at_once(capsys):
+    """A Berge path of length 7 needs 8 vertices, so (7,4,bp7), inside the
+    default limit, is answered by the complete 4-graph with no search."""
+    import itertools
+    import time
+
+    from bergeturan.hypergraph import Hypergraph
+
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "exact", "7", "4", "--bp", "7")
+    assert time.perf_counter() - t0 < 1
+    rep = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (rep["value"], rep["nodes_explored"], rep["extremal_class_count"]) == (35, 0, 1)
+    complete = Hypergraph(7, 4, tuple(itertools.combinations(range(7), 4)))
+    assert rep["witnesses"] == [canonical_key(complete).decode()]
 
 
 def test_exact_respects_limits(capsys):

@@ -69,11 +69,15 @@ def _random_free_parent(rng, n, r, spec):
 
 
 def test_child_violates_matches_full_detector():
-    """The anchored test agrees with the full detector on every candidate
-    edge of random family-free parents, including edges the parent
-    already holds."""
+    """The anchored test the level search calls for each parent,
+    ``new_edge_detector`` in the spec's cycle mode, agrees with the full
+    detector on every candidate edge of random family-free parents,
+    including edges the parent already holds."""
     import itertools
     import random
+
+    import bergeturan.search as search
+    from bergeturan.berge import new_edge_detector
 
     rng = random.Random(23)
     seen = {True: 0, False: 0}
@@ -84,7 +88,7 @@ def test_child_violates_matches_full_detector():
         spec = FamilySpec(rng.choice(("bp", "bc_exact", "bc_at_least")),
                           rng.randint(2, 6), rng.choice((1, 2)))
         parent = _random_free_parent(rng, n, r, spec)
-        test = spec.child_violates(parent)
+        test = new_edge_detector(parent, spec.k, search._CYCLE_MODES[spec.kind])
         for e in itertools.combinations(range(n), r):
             expect = spec.violates(parent.with_edge(e))
             assert test(e) == expect, (spec, parent.edges, e)
@@ -154,7 +158,7 @@ def test_orbit_codes_are_the_per_edge_sums(monkeypatch):
 
 @pytest.mark.parametrize("n, r, spec, budget", [
     (6, 2, FamilySpec("bp", 6), None),
-    (6, 2, FamilySpec("bp", 6), 600),
+    (6, 2, FamilySpec("bp", 5), 300),
     (5, 2, FamilySpec("bp", 5, 2), None),
     (6, 3, FamilySpec("bp", 5), None),
     (6, 3, FamilySpec("bc_at_least", 3), None),
@@ -481,6 +485,60 @@ def test_r2_at_n_equal_k_is_the_complete_graph(k):
     assert out.value == res.value == comb(k, 2) and res.regime == "exact"
     with pytest.raises(FormulaRangeError):
         classical_bound("kopylov", k, 2, k)
+
+
+@pytest.mark.parametrize("n, r, spec", [
+    (5, 3, FamilySpec("bp", 5)),
+    (5, 3, FamilySpec("bp", 6)),
+    (4, 3, FamilySpec("bp", 4, 2)),
+    (5, 3, FamilySpec("bc_exact", 6)),
+    (4, 2, FamilySpec("bc_at_least", 5)),
+    (3, 3, FamilySpec("bp", 3)),
+])
+def test_trivial_regime_matches_the_level_search(n, r, spec, tmp_path):
+    """Where the family cannot fit (a path with n <= k, a cycle with
+    n < k), ``exact_ex_conn`` searches nothing, yet its value, witnesses
+    and class count are those of the level search's last connected
+    level.  A checkpoint gets the finished state, and a run resumed from
+    it gives the same outcome."""
+    import json
+
+    import bergeturan.search as search
+
+    for level, reps, keys, _ in search._levels(n, r, spec):
+        conn = [k.decode() for k, h in zip(keys, reps) if is_connected(h)]
+        if conn:
+            best = level, conn
+    path = tmp_path / "ck.json"
+    out = exact_ex_conn(n, r, spec, witness_cap=10**9, checkpoint_path=str(path))
+    assert (out.status, out.value, out.witnesses, out.extremal_class_count,
+            out.nodes_explored) == ("value", best[0], best[1], len(best[1]), 0)
+    ck = json.loads(path.read_text())
+    assert (ck["reps"], ck["tested"], ck["best_keys"]) == ([], 0, best[1])
+    again = exact_ex_conn(n, r, spec, witness_cap=10**9,
+                          checkpoint_path=str(path))
+    assert again.stable_json() == out.stable_json()
+
+
+def test_trivial_regime_keeps_every_refusal_and_its_bounds(tmp_path):
+    """The limits, the arguments and a checkpoint are checked before the
+    trivial answer, and one vertex more than the family needs searches."""
+    with pytest.raises(SearchLimitError, match="default search limit"):
+        exact_ex_conn(10, 4, FamilySpec("bp", 10))
+    with pytest.raises(ValueError, match="witness_cap"):
+        exact_ex_conn(7, 4, FamilySpec("bp", 7), witness_cap=-1)
+    path = tmp_path / "ck.json"
+    path.write_text("not json")
+    with pytest.raises(SearchLimitError, match="not JSON"):
+        exact_ex_conn(7, 4, FamilySpec("bp", 7), checkpoint_path=str(path))
+    other = tmp_path / "other.json"
+    exact_ex_conn(5, 3, FamilySpec("bp", 5), checkpoint_path=str(other))
+    with pytest.raises(SearchLimitError, match="this run reads"):
+        exact_ex_conn(5, 3, FamilySpec("bp", 6), checkpoint_path=str(other))
+    out = exact_ex_conn(7, 4, FamilySpec("bp", 7), witness_cap=0)
+    assert (out.value, out.witnesses, out.extremal_class_count) == (35, [], 1)
+    assert exact_ex_conn(5, 3, FamilySpec("bp", 4)).nodes_explored > 0
+    assert exact_ex_conn(5, 3, FamilySpec("bc_exact", 5)).nodes_explored > 0
 
 
 def test_witness_soundness():
