@@ -17,7 +17,10 @@ branches over interchangeable instances, which keeps sunflower and
 high-multiplicity inputs fast, and it is exact: a full-length sequence
 with a complete matching is precisely a Berge witness.  Paths and
 cycles differ only in where the walk stops and whether a sequence
-closes back to its start.
+closes back to its start.  The walk's recursive step is a closure that
+reaches itself through its own cell, so the walk deletes that name
+before it returns: reference counting then frees the walk's state at
+once, and none of it is left to the cyclic garbage collector.
 
 The unanchored queries also skip interchangeable vertices
 (``hypergraph.interchangeable_classes``: swapping two of them maps the
@@ -312,18 +315,20 @@ def _walk(
                 break
             matcher.pop()
             used[u] = used[v] = False
-        return found
-    starts = set(_class_firsts((v for v in range(len(index)) if index[v]), classes))
-    for start in range(len(index)):
-        if start in starts:
-            seq.append(start)
-            used[start] = True
-            if extend():
-                break
-            seq.pop()
-        # A cycle sequence starts at its minimum vertex, so each start,
-        # walked or skipped, stays marked used.
-        used[start] = bool(close_from)
+    else:
+        starts = set(_class_firsts((v for v in range(len(index)) if index[v]),
+                                   classes))
+        for start in range(len(index)):
+            if start in starts:
+                seq.append(start)
+                used[start] = True
+                if extend():
+                    break
+                seq.pop()
+            # A cycle sequence starts at its minimum vertex, so each start,
+            # walked or skipped, stays marked used.
+            used[start] = bool(close_from)
+    del extend  # the only link in the cycle extend -> its cell -> extend
     return found
 
 

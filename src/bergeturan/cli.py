@@ -179,10 +179,11 @@ def _cmd_conjecture(args) -> str:
     return _json_dump(rep.to_json_obj(stable=not args.timing))
 
 
-def _best_construction(n: int, r: int, k: int) -> int | None:
+def _best_construction(n: int, r: int, k: int) -> tuple[int | None, bool]:
     """Largest generator output at (n, r, k) that passes its own
-    ``verify_family_output`` contract, if any."""
-    best = None
+    ``verify_family_output`` contract, if any, and whether some member
+    went unverified, and so uncounted, above ``VERIFY_DETECTOR_N_CAP``."""
+    best, capped = None, False
     for name in family_names():
         if name.startswith("multi-") or _forbidden_length(name, r, k) != k:
             continue
@@ -190,10 +191,12 @@ def _best_construction(n: int, r: int, k: int) -> int | None:
             h = make_family(name, n, r, k)
         except FamilyParamError:
             continue
-        ok = h.n <= VERIFY_DETECTOR_N_CAP and verify_family_output(name, h, n, r, k).ok
-        if ok and (best is None or h.num_edges() > best):
+        if h.n > VERIFY_DETECTOR_N_CAP:
+            capped = True
+        elif verify_family_output(name, h, n, r, k).ok and (
+                best is None or h.num_edges() > best):
             best = h.num_edges()
-    return best
+    return best, capped
 
 
 def _cmd_table(args) -> str:
@@ -205,6 +208,7 @@ def _cmd_table(args) -> str:
     if n_lo > n_hi:
         raise FamilyParamError("empty --n-range")
     rows = ["n,r,k,exact,formula,regime,best_construction,bound_kl"]
+    capped_rows = []
     for n in range(n_lo, n_hi + 1):
         try:
             out = exact_ex_conn(n, args.r, FamilySpec("bp", args.k),
@@ -218,7 +222,9 @@ def _cmd_table(args) -> str:
             regime = res.regime
         except FormulaRangeError:
             formula, regime = "", ""
-        best = _best_construction(n, args.r, args.k)
+        best, capped = _best_construction(n, args.r, args.k)
+        if capped:
+            capped_rows.append(str(n))
         try:
             kl = classical_bound("kostochka_luo", n, args.r, args.k)
             kl_str = kl.to_json_obj()["value"]
@@ -228,6 +234,11 @@ def _cmd_table(args) -> str:
             f"{n},{args.r},{args.k},{exact},{formula},{regime},"
             f"{'' if best is None else best},{kl_str}"
         )
+    if capped_rows:
+        print(f"note: rows n={','.join(capped_rows)} are above the verify cap "
+              f"{VERIFY_DETECTOR_N_CAP}, so best_construction counts no family "
+              f"member there; run `bergeturan check FILE --bp {args.k}` on a "
+              f"member to check it", file=sys.stderr)
     return "\n".join(rows)
 
 

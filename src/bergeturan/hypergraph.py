@@ -29,7 +29,10 @@ way the skipped subtree is an automorphic image of an explored one, so
 every leaf it holds has an earlier explored counterpart with equal
 relabeled edges; the first least leaf is never skipped, and strings and
 relabelings are those of the full search, whatever automorphisms the
-caller gave.
+caller gave.  The recursive search reaches itself through its own
+closure cell, so ``canonical_form`` deletes that name when the search
+ends, also when it raises: reference counting then frees the search's
+state at once, and none of it is left to the cyclic garbage collector.
 
 Twins, vertices with equal incidence lists (``twin_classes``), are never
 individualized: a cell of twins is left in input order, so the search
@@ -507,7 +510,10 @@ def canonical_form(
     by_degree: dict[int, list[int]] = {}
     for v in support:
         by_degree.setdefault(len(inc[v]), []).append(v)
-    descend([by_degree[d] for d in sorted(by_degree)], [])
+    try:
+        descend([by_degree[d] for d in sorted(by_degree)], [])
+    finally:
+        del descend  # the only link in the cycle descend -> its cell -> descend
     order = seen[min(seen)][0]
 
     # ``order`` holds the support, so isolated vertices take the last labels.

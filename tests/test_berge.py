@@ -5,6 +5,7 @@ instance assignments via itertools (no matching machinery), so they
 share nothing with the production search path.
 """
 
+import gc
 import itertools
 import random
 
@@ -396,6 +397,30 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
         assert len(set(anchors)) == len(anchors) <= comb(n, 2), (h, k, mode)
         assert all(len(pair) == 2 for pair in anchors)
     assert min(seen.values()) > 300, seen
+
+
+def test_queries_leave_no_cycles_behind():
+    """Every walk frees its state by reference counting on return: with
+    the cyclic collector off, the queries leave no unreachable object."""
+    path = build(5, 3, [[0, 1, 2], [1, 2, 3], [2, 3, 4]])
+    star = build(7, 3, STAR73)
+    gc.collect()
+    gc.disable()
+    try:
+        assert contains_berge_path(path, 3)
+        assert contains_berge_path(path, 3, want_witness=True)[0]
+        assert not contains_berge_path(star, 3)
+        assert contains_berge_path(star, 3, want_witness=True) == (False, None)
+        assert longest_berge_path(path)[0] == 3
+        assert contains_berge_cycle(path, 2, "exact")
+        assert contains_berge_cycle(path, 2, "at_least", want_witness=True)[0]
+        # The star is free of BP4; a pendant-to-pendant edge completes
+        # one, a second copy of its first edge does not.
+        test = new_edge_detector(star, 4)
+        assert test((1, 3, 5)) and not test((0, 1, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _family_members():

@@ -252,6 +252,24 @@ def test_table_best_construction_at_k_equal_r_plus_one(capsys):
     assert [row[6] for row in rows] == ["3", "4", "5"]
 
 
+def test_table_above_the_verify_cap_notes_the_uncounted_rows(capsys):
+    """Above n = 24 no member is verified, so ``best_construction`` stays
+    empty there, which one stderr line says; stdout and the exit code
+    are unchanged.  A range inside the cap writes nothing to stderr."""
+    code, out, err = run(capsys, "table", "--k", "4", "--r", "3",
+                         "--n-range", "24..26")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "24,3,4,skipped,22,exact_for_large_n,22,",
+        "25,3,4,skipped,23,exact_for_large_n,,",
+        "26,3,4,skipped,24,exact_for_large_n,,",
+    ]
+    assert err.startswith("note: rows n=25,26 ") and err.count("\n") == 1, err
+    assert "verify cap 24" in err and "`bergeturan check FILE --bp 4`" in err
+    assert run(capsys, "table", "--k", "3", "--r", "3",
+               "--n-range", "4..6")[::2] == (0, "")
+
+
 def test_table_byte_stable(capsys):
     _, out1, _ = run(capsys, "table", "--k", "3", "--r", "3", "--n-range", "4..6")
     _, out2, _ = run(capsys, "table", "--k", "3", "--r", "3", "--n-range", "4..6")

@@ -1,6 +1,7 @@
 """Core hypergraph structure: validation, connectivity, neighborhoods,
 induced substructures, canonical forms, serialization round-trips."""
 
+import gc
 import random
 
 import pytest
@@ -610,6 +611,30 @@ def test_canonical_key_of_large_symmetric_inputs(name, monkeypatch):
     rng = random.Random(11)
     for _ in range(20):
         assert canonical_key(_shuffled(rng, h)) == key
+
+
+def test_canonical_form_leaves_no_cycles_behind(monkeypatch):
+    """The search frees its state by reference counting, also when the
+    leaf budget stops it: with the cyclic collector off, no call leaves
+    an unreachable object, with or without known automorphisms, on a
+    symmetric input and a rigid one."""
+    from bergeturan import hypergraph as hg
+
+    symmetric = build(7, 3, STAR73)
+    rigid = build(6, 2, [[0, 1], [1, 2], [2, 3], [3, 4], [2, 5], [3, 5]])
+    gc.collect()
+    gc.disable()
+    try:
+        for h, symmetries in ((symmetric, True), (rigid, False)):
+            found = []
+            assert canonical_form(h, found) == canonical_form(h)
+            assert bool(found) == symmetries
+        monkeypatch.setattr(hg, "_CANONICAL_LEAF_BUDGET", 0)
+        with pytest.raises(CanonicalSizeError):
+            canonical_form(symmetric)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_networkx_oracle_on_pairs_refinement_cannot_split():

@@ -7,6 +7,8 @@ graph path formula, and the small k=4 values were replayed by a plain
 labeled brute force over all edge subsets with no isomorphism machinery.
 """
 
+import gc
+
 import pytest
 
 from bergeturan.berge import contains_berge_path
@@ -913,6 +915,21 @@ def test_population_is_isomorphism_reduced():
     pop = enumerate_connected_free(7, 3, FamilySpec("bp", 4))
     keys = [canonical_key(h) for h in pop]
     assert len(keys) == len(set(keys))
+
+
+def test_searches_leave_no_cycles_behind():
+    """The walks and canonical searches a run makes free their state by
+    reference counting: with the cyclic collector off, a fresh search
+    and a fresh population enumeration leave no unreachable object."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert exact_ex_conn(7, 3, FamilySpec("bp", 3)).value == 3
+        # n <= k: every connected graph on 5 vertices (OEIS A001349).
+        assert len(enumerate_connected_free(5, 2, FamilySpec("bp", 5))) == 21
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_population_matches_labeled_power_set():
