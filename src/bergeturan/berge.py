@@ -59,8 +59,12 @@ same walk is anchored there: it starts at a pair of e whose slot holds
 only that instance and runs over the index of h, which is built once
 for all candidate edges.  Since every slot after the first holds
 instances of h, the answer for an anchor pair does not depend on the
-rest of e, so each pair is walked at most once per h and a candidate's
-answer is the OR over its pairs: at most C(n, 2) walks per h.
+rest of e, and a candidate's answer is the OR over its pairs.  An
+automorphism of h maps the walks anchored at a pair onto those anchored
+at its image, so given the orbits of vertex pairs under a group of
+automorphisms of h (the search passes those of its known generators),
+each orbit is walked at most once per h: one walk per pair orbit, and
+at most C(n, 2) without the orbits.
 
 All functions are pure and deterministic.  Because sequences are
 visited in lexicographic order, a path witness has the lexicographically
@@ -432,7 +436,10 @@ def contains_berge_cycle(
 
 
 def new_edge_detector(
-    h: Hypergraph, k: int, cycle_mode: str | None = None
+    h: Hypergraph,
+    k: int,
+    cycle_mode: str | None = None,
+    pair_orbits: Callable[[], dict[tuple[int, int], int]] | None = None,
 ) -> Callable[[tuple[int, ...]], bool]:
     """A test ``e -> bool``: does h plus one more instance of the sorted
     edge e contain a Berge path of length k (``cycle_mode`` None), or a
@@ -442,26 +449,33 @@ def new_edge_detector(
     added instance, so the walk is anchored at it, on each pair u < v of
     e.  That first slot holds only the added instance, and every other
     slot is matched to an instance of h over the pair index of h, so the
-    answer for a pair does not depend on the rest of e.  Each pair is
-    therefore walked at most once per call, on its first lookup, and a
-    test is the OR of its pairs' answers: at most C(n, 2) walks for all
-    candidates of h.  On an h that breaks the precondition the answers
-    mean nothing.
+    answer for a pair does not depend on the rest of e, and a test is the
+    OR of its pairs' answers.  An automorphism of h maps the walks
+    anchored at a pair onto those anchored at its image, so the answer is
+    also the same for every pair on one orbit of a group of automorphisms
+    of h.  ``pair_orbits``, when given, returns a map from every pair
+    u < v to an id shared by the pairs of one such orbit; it is called
+    once, and only if the detector can walk at all.  Each orbit (each
+    pair, without ``pair_orbits``) is walked at most once per call, on
+    its first lookup: one walk per pair orbit for all candidates of h.
+    On an h that breaks the precondition the answers mean nothing.
     """
     inst = len(h.edges)
     most, close_from, cap = _bounds(k, cycle_mode, inst + 1, h.n)
     if k > cap:
         return lambda e: False
     index = _pair_index(h)
-    answers: dict[tuple[int, int], bool] = {}
+    orbit = None if pair_orbits is None else pair_orbits()
+    answers: dict = {}  # pair orbit id (the pair itself) -> its answer
 
     def violates_with(e: tuple[int, ...]) -> bool:
         for pair in itertools.combinations(e, 2):
-            hit = answers.get(pair)
+            key = pair if orbit is None else orbit[pair]
+            hit = answers.get(key)
             if hit is None:
                 hit = _counts(_walk(index, most, close_from, (pair, inst)),
                               k, close_from)
-                answers[pair] = hit
+                answers[key] = hit
             if hit:
                 return True
         return False

@@ -12,8 +12,9 @@ exactly when a forbidden configuration runs through its new instance;
 parent, instead of running the full detector on every child.  Such a
 configuration starts at a vertex pair of the new edge and continues in
 the parent alone, so the answer for a pair is the same for every
-candidate edge containing it: each parent needs at most one walk per
-vertex pair, C(n, 2) in all, and a candidate's test ORs its pairs.
+candidate edge containing it, and for every pair on its orbit under the
+parent's automorphisms: each parent needs at most one walk per orbit of
+vertex pairs, and a candidate's test ORs its pairs.
 
 Symmetry has one source: the generators that ``canonical_form`` finds,
 together with the swaps of twins (vertices with equal incidence lists),
@@ -21,11 +22,17 @@ which generate the whole automorphism group.  Automorphisms pass between
 levels in both directions (McKay, "Isomorph-free exhaustive generation",
 1998).  Each representative carries the generators known from its own
 canonicalization, conjugated into its canonical labeling.  As a parent,
-its candidate edges with the same sorted tuple of twin ids form one
-orbit of the twin swaps, and its generators merge those into the orbits
-of its automorphism group, whose children are isomorphic.  Only the
-first child of each orbit is tested and canonicalized; the others share
-its verdict and its key.  That child's canonical search starts from the
+its candidate edges with the same sorted tuple of twin ids (the same
+twin-orbit code) form one orbit of the twin swaps, whose children are
+isomorphic, so only the first child of each code is tested; the others
+share its verdict.  The detector walks one pair of each orbit of vertex
+pairs under the twin swaps and the generators, so one walk answers every
+pair of that orbit.  Then the generators merge the codes of the free
+candidates, which form a union of orbits, into the orbits of the
+parent's automorphism group, and only the first child of each such
+orbit is canonicalized; the others share its key.  (For r = 2 the
+candidates are the pairs, and their orbits, once built for the
+detector, serve again.)  That child's canonical search starts from the
 parent's generators that map the new edge onto itself, which prune its
 search tree from the root, and the child carries them on with the ones
 it finds.  Representatives resumed from a checkpoint get their
@@ -185,16 +192,20 @@ def _levels(
     point, even one where every multiset is free (``exact_ex_conn``
     answers those without it).  Every parent expanded is free of the
     forbidden family, so ``berge.new_edge_detector``, built once per
-    parent, tests its candidates exactly.  Of each orbit of candidate
-    edges under the swaps of the parent's twins and its carried
-    generators, only the first child in candidate order is tested and
-    canonicalized, seeded with the generators that fix its new edge;
-    every candidate is still counted in ``tested``.  A parent's twin-orbit
-    codes for all candidates come from one pass over the combinations of
-    its twin weights, in candidate order, and the edges at the
-    multiplicity cap are dropped from the candidates and the codes
-    together.  One pass over the parent's incidences gives its twin
-    classes and, if it is kept, its vertex weights for the deletion test.
+    parent, tests its candidates exactly.  Of each twin-orbit code, only
+    the first child in candidate order is tested, and the detector walks
+    one pair per orbit of vertex pairs under the swaps of the parent's
+    twins and its carried generators; it builds those pair orbits only
+    if it walks.  Of each orbit of free candidates under the same group,
+    only the first child is canonicalized, seeded with the generators
+    that fix its new edge; for r = 2 the pair orbits give those orbits
+    when the detector built them.  Every candidate is still counted in
+    ``tested``.  A parent's twin-orbit codes for all candidates come from
+    one pass over the combinations of its twin weights, in candidate
+    order, and the edges at the multiplicity cap are dropped from the
+    candidates and the codes together.  One pass over the parent's
+    incidences gives its twin classes and, if it is kept, its vertex
+    weights for the deletion test.
     Each level takes two passes: the expand pass tests every parent's
     candidates and applies the reachability prune, and the admit pass
     canonicalizes the first children of the kept parents.  A first child
@@ -210,6 +221,7 @@ def _levels(
     """
     candidates = list(itertools.combinations(range(n), r))
     position = {e: i for i, e in enumerate(candidates)}
+    pairs = list(itertools.combinations(range(n), 2))
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     def check_deadline() -> None:
@@ -240,12 +252,22 @@ def _levels(
             check_deadline()
             counts = Counter(parent.edges)
             inc = parent.vertex_instances()
-            # Exact because the parent is free: see the module docstring.
-            violates_with = new_edge_detector(parent, spec.k, mode)
             # Twin class c weighs (r + 1) ** c, so an edge's twin-orbit
             # code is the sum of its vertices' weights; the combinations
             # of the weights give the codes in candidate order.
             pw = [(r + 1) ** c for c in twin_classes(inc)]
+            # Pair -> its orbit id under the twin swaps and ``gens``,
+            # filled only if the detector walks.
+            pair_ids: dict[tuple[int, int], int] = {}
+
+            def pair_orbits() -> dict[tuple[int, int], int]:
+                pair_codes = list(map(sum, itertools.combinations(pw, 2)))
+                pair_ids.update(zip(pairs, _candidate_orbits(
+                    pairs, pair_codes, pw, gens)))
+                return pair_ids
+
+            # Exact because the parent is free: see the module docstring.
+            violates_with = new_edge_detector(parent, spec.k, mode, pair_orbits)
             allowed = candidates.copy()
             codes = list(map(sum, itertools.combinations(pw, r)))
             # Drop the edges at the cap from the back, so that the
@@ -253,22 +275,23 @@ def _levels(
             for i in sorted((position[e] for e, c in counts.items()
                              if c >= spec.multiplicity_cap), reverse=True):
                 del allowed[i], codes[i]
-            # Orbit -> whether its first child in candidate order is free.
+            # Twin-orbit code -> whether its first child in candidate
+            # order is free; twin swaps are automorphisms, so the verdict
+            # holds for every child of the code.
             free: dict[int, bool] = {}
-            first_edges: list[tuple[int, ...]] = []
             feasible_edges: list[tuple[int, ...]] = []
+            feasible_codes: list[int] = []
             with_edge = parent.with_edge
-            for e, orbit in zip(allowed, _candidate_orbits(allowed, codes, pw, gens)):
+            for e, code in zip(allowed, codes):
                 # Unused, but built for every tested child: the traced
                 # benchmark counts tested children by these calls.
                 with_edge(e)
-                ok = free.get(orbit)
+                ok = free.get(code)
                 if ok is None:
-                    ok = free[orbit] = not violates_with(e)
-                    if ok:
-                        first_edges.append(e)
+                    ok = free[code] = not violates_with(e)
                 if ok:
                     feasible_edges.append(e)
+                    feasible_codes.append(code)
             tested += len(allowed)
             if node_budget is not None and tested > node_budget:
                 raise SearchLimitError(
@@ -281,9 +304,19 @@ def _levels(
                 # No superset of this representative can connect and span.
                 complete = False
                 continue
+            # The feasible edges are a union of orbits under the twin swaps
+            # and ``gens``; keep the first edge of each.  For r = 2 they
+            # are pairs, whose orbit ids the detector may have built.
+            if r == 2 and pair_ids:
+                orbits = map(pair_ids.__getitem__, feasible_edges)
+            else:
+                orbits = _candidate_orbits(feasible_edges, feasible_codes, pw, gens)
+            firsts: dict[int, tuple[int, ...]] = {}
+            for e, orbit in zip(feasible_edges, orbits):
+                firsts.setdefault(orbit, e)
             # Vertex v weighs (r + 1) ** (its degree in the parent).
             kept.append((parent, gens, counts, [(r + 1) ** len(i) for i in inc],
-                         first_edges))
+                         list(firsts.values())))
         # Key -> (representative, its known automorphisms).
         found: dict[bytes, tuple[Hypergraph, list[list[int]]]] = {}
         for parent, gens, counts, weight, first_edges in kept:
@@ -377,7 +410,8 @@ def _candidate_orbits(
     gens: list[list[int]],
 ) -> list[int]:
     """For each allowed edge, an id of its orbit under the swaps of twins
-    and under ``gens``.
+    and under ``gens``.  The allowed edges (all candidates, the free ones
+    or all pairs) must be a union of such orbits.
 
     ``pw[v]`` is (r + 1) ** (the twin class of v), and ``codes`` holds
     each allowed edge's twin-orbit code, the sum of ``pw`` over its

@@ -350,10 +350,24 @@ def test_walk_results_are_pinned():
     assert digest == WALK_CORPUS_SHA256
 
 
+def _pair_orbit_ids(h):
+    """Each pair u < v mapped to the least pair on its orbit under the
+    automorphism group of h, found by brute force over all n! vertex
+    maps."""
+    edges = sorted(h.edges)
+    auts = [p for p in itertools.permutations(range(h.n))
+            if sorted(tuple(sorted(p[v] for v in e)) for e in edges) == edges]
+    return {pair: min(tuple(sorted((p[pair[0]], p[pair[1]]))) for p in auts)
+            for pair in itertools.combinations(range(h.n), 2)}
+
+
 def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
     """On a parent free of the configuration, the detector walks each
     anchor pair at most once over all candidate edges, so at most C(n, 2)
-    times, and answers as one unmemoized walk anchored at the whole edge."""
+    times.  Given the pair orbits of Aut(parent) (by brute force, n <= 6)
+    it walks each orbit at most once, builds them once and only where it
+    can walk, and walks fewer pairs in all.  Either way it answers as one
+    unmemoized walk anchored at the whole edge."""
     from math import comb
 
     from bergeturan import berge
@@ -368,6 +382,7 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
     monkeypatch.setattr(berge, "_walk", counting_walk)
     rng = random.Random(47)
     seen = {True: 0, False: 0}
+    walks = {"pairs": 0, "orbits": 0}
     for _ in range(150):
         n = rng.randint(3, 8)
         r = rng.randint(2, min(4, n))
@@ -387,16 +402,33 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
         inst = len(h.edges)
         most, close_from, cap = berge._bounds(k, mode, inst + 1, n)
         index = berge._pair_index(h)
-        anchors.clear()
-        test = berge.new_edge_detector(h, k, mode)
+        expect = {}
         for e in itertools.combinations(range(n), r):
             found = walk(index, most, close_from, (e, inst)) if k <= cap else None
-            expect = found is not None and (close_from > 0 or len(found[1]) == k)
-            assert test(e) == expect, (h, k, mode, e)
-            seen[expect] += 1
+            expect[e] = found is not None and (close_from > 0 or len(found[1]) == k)
+            seen[expect[e]] += 1
+        anchors.clear()
+        test = berge.new_edge_detector(h, k, mode)
+        for e, want in expect.items():
+            assert test(e) == want, (h, k, mode, e)
         assert len(set(anchors)) == len(anchors) <= comb(n, 2), (h, k, mode)
         assert all(len(pair) == 2 for pair in anchors)
+        if n > 6:
+            continue
+        walks["pairs"] += len(anchors)
+        orbit = _pair_orbit_ids(h)
+        built = []
+        anchors.clear()
+        test = berge.new_edge_detector(h, k, mode, lambda: built.append(1) or orbit)
+        assert len(built) == (k <= cap), (h, k, mode)
+        for e, want in expect.items():
+            assert test(e) == want, (h, k, mode, e)
+        ids = [orbit[pair] for pair in anchors]
+        assert len(set(ids)) == len(ids) <= len(set(orbit.values())), (h, k, mode)
+        assert len(built) == (k <= cap)
+        walks["orbits"] += len(anchors)
     assert min(seen.values()) > 300, seen
+    assert walks["orbits"] < 0.8 * walks["pairs"], walks
 
 
 def test_queries_leave_no_cycles_behind():

@@ -118,9 +118,10 @@ def test_orbit_codes_are_the_per_edge_sums(monkeypatch):
     """The codes of all candidates, summed from the combinations of the
     twin weights, equal each candidate's own ``sum(pw[v] for v in e)``
     for random twin lists with r = 2..5, and two candidates share a code
-    iff their multisets of twin classes are equal.  In the search, each
-    parent's allowed edges and their codes stay aligned after the edges
-    at the multiplicity cap are removed."""
+    iff their multisets of twin classes are equal.  In the search, the
+    free edges of each kept parent and their codes, which reach the orbit
+    search, stay aligned, and none of those edges is at the multiplicity
+    cap."""
     import itertools
     import random
 
@@ -143,19 +144,29 @@ def test_orbit_codes_are_the_per_edge_sums(monkeypatch):
                 assert (a == b) == (ca == cb), (twin, r)
 
     orbits_of = search._candidate_orbits
+    detector = search.new_edge_detector
     parents = []
+    capped = []
+
+    def record_parent(h, k, mode, pair_orbits):
+        parents.append(h)
+        return detector(h, k, mode, pair_orbits)
 
     def check_codes(allowed, codes, pw, gens):
         assert codes == [sum(pw[v] for v in e) for e in allowed]
-        parents.append(len(allowed))
+        if len(allowed[0]) == 3:  # the parent's free candidates
+            assert all(parents[-1].multiplicity(e) < 2 for e in allowed)
+            capped.append(parents[-1].max_multiplicity() == 2)
         return orbits_of(allowed, codes, pw, gens)
 
+    monkeypatch.setattr(search, "new_edge_detector", record_parent)
     monkeypatch.setattr(search, "_candidate_orbits", check_codes)
     for _ in search._levels(6, 3, FamilySpec("bp", 5, 2)):
         pass
-    # Parents with edges at the cap of 2 have fewer allowed edges: as
-    # few as 16 of the 20.
-    assert len(parents) > 100 and min(parents) < 18, parents
+    # The orbit search runs over the free candidates of the 57 parents
+    # kept; 38 of them have edges at the cap of 2, dropped with their
+    # codes.
+    assert len(capped) > 50 and sum(capped) > 30, (len(capped), sum(capped))
 
 
 @pytest.mark.parametrize("n, r, spec, budget", [
@@ -168,20 +179,29 @@ def test_orbit_codes_are_the_per_edge_sums(monkeypatch):
 ])
 def test_every_child_of_an_orbit_has_its_first_childs_key(
         n, r, spec, budget, tmp_path, monkeypatch):
-    """The search tests and canonicalizes only the first child of each
-    orbit of candidate edges under the twin swaps and the carried
-    generators, so on every parent it expands, at m = 1 and m = 2, every
-    later child's key is the first child's.  Those orbits are exactly the
+    """The search tests only the first child of each twin-orbit code,
+    whose verdict every child of the code shares, and canonicalizes only
+    the first free child of each orbit of candidate edges under the twin
+    swaps and the carried generators, so on every parent it expands, at
+    m = 1 and m = 2, every later free child's key is the first child's.
+    Those orbits, restricted to the free candidates, are exactly the
     orbits of the parent's automorphism group, found by brute force over
-    all n! vertex maps, in a fresh run and in one resumed from a
-    checkpoint (``budget``).  Every carried generator is an automorphism
-    of its parent, every seed an automorphism of the child it seeds, and
-    a seeded call returns the unseeded result."""
+    all n! vertex maps, and so are the pair orbits the detector walks by,
+    in a fresh run and in one resumed from a checkpoint (``budget``).  A
+    parent whose free orbits are not searched has no free candidate or
+    is pruned; for r = 2 they may come from the pair orbits instead.
+    ``skipped`` counts the detector tests and canonicalizations that an
+    earlier child stands in for, and ``merges`` the twin-orbit codes the
+    generators merge, of pairs and of free candidates.  Every carried
+    generator is an automorphism of its parent, every seed an
+    automorphism of the child it seeds, and a seeded call returns the
+    unseeded result."""
     import itertools
     import json
 
     import bergeturan.search as search
-    from bergeturan.hypergraph import canonical_form, canonical_key, relabel
+    from bergeturan.hypergraph import (
+        Hypergraph, canonical_form, canonical_key, relabel, twin_classes)
 
     start = None
     if budget is not None:
@@ -190,15 +210,43 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
             exact_ex_conn(n, r, spec, node_budget=budget, checkpoint_path=str(path))
         ck = json.loads(path.read_text())
         start = ([from_canonical_string(k) for k in ck["reps"]], ck["tested"])
-    expanded = []   # (allowed candidates, their orbit ids, generators, merges)
+    # Per parent: the edges its detector tested, its pair orbit ids if
+    # built, the call over its free candidates (edges, orbit ids, merges)
+    # if made, and its generators if the orbit search saw them.
+    expanded = []
     orbits_of = search._candidate_orbits
+    detector = search.new_edge_detector
     canon = search.canonical_form
     seeded = []
+    building = []  # non-empty while the detector builds the pair orbits
+
+    def record_detector(h, k, mode, pair_orbits):
+        entry = {"tested": [], "pairs": None, "free": None}
+        expanded.append(entry)
+
+        def record_pairs():
+            building.append(True)
+            ids = pair_orbits()
+            building.pop()
+            entry["pairs"] = dict(ids)
+            return ids
+
+        violates_with = detector(h, k, mode, record_pairs)
+
+        def record_test(e):
+            entry["tested"].append(e)
+            return violates_with(e)
+
+        return record_test
 
     def record_orbits(allowed, codes, pw, gens):
         orbits = orbits_of(allowed, codes, pw, gens)
-        merges = len(set(orbits_of(allowed, codes, pw, []))) - len(set(orbits))
-        expanded.append((allowed, orbits, [list(g) for g in gens], merges))
+        entry = expanded[-1]
+        entry["gens"] = [list(g) for g in gens]
+        if not building:
+            assert entry["free"] is None
+            merges = len(set(codes)) - len(set(orbits))
+            entry["free"] = (allowed, orbits, merges)
         return orbits
 
     def record_canon(h, automorphisms=None):
@@ -207,6 +255,7 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
         seeded.append((h, seeds, out))
         return out
 
+    monkeypatch.setattr(search, "new_edge_detector", record_detector)
     monkeypatch.setattr(search, "_candidate_orbits", record_orbits)
     monkeypatch.setattr(search, "canonical_form", record_canon)
     # The representatives in the order they are expanded; a resumed
@@ -215,29 +264,113 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
     for _, reps, _, _ in search._levels(n, r, spec, start=start):
         parents += reps
     assert len(parents) == len(expanded)
-    skipped = 0
-    for parent, (allowed, orbits, gens, _) in zip(parents, expanded):
-        assert allowed == [e for e in itertools.combinations(range(n), r)
-                           if parent.multiplicity(e) < spec.multiplicity_cap]
-        for g in gens:
+    skipped = merges = searched = 0
+    for parent, entry in zip(parents, expanded):
+        for g in entry.get("gens", []):
             assert relabel(parent, tuple(g)) == parent, (parent, g)
+        aut = _automorphisms(parent)
+
+        def aut_orbits(edges):
+            return {frozenset(tuple(sorted([p[v] for v in e])) for p in aut)
+                    for e in edges}
+
+        pw = [(r + 1) ** c for c in twin_classes(parent.vertex_instances())]
+        if entry["pairs"] is not None:
+            members = {}
+            for pair, orbit in entry["pairs"].items():
+                members.setdefault(orbit, set()).add(pair)
+            pairs = list(itertools.combinations(range(n), 2))
+            assert {frozenset(m) for m in members.values()} == aut_orbits(pairs)
+            merges += len({pw[u] + pw[v] for u, v in pairs}) - len(members)
+        allowed = [e for e in itertools.combinations(range(n), r)
+                   if parent.multiplicity(e) < spec.multiplicity_cap]
+        free = [e for e in allowed if not spec.violates(parent.with_edge(e))]
+        # Every child shares the verdict of the first child of its
+        # twin-orbit code, which alone meets the detector.
+        verdict = {}
+        tested = []
+        for e in allowed:
+            code = sum(pw[v] for v in e)
+            if code in verdict:
+                skipped += 1
+            else:
+                tested.append(e)
+            assert verdict.setdefault(code, e in free) == (e in free), (parent, e)
+        assert entry["tested"] == tested, parent
+        if entry["free"] is not None:
+            edges, orbits, merged = entry["free"]
+            assert edges == free, parent
+        elif r == 2 and entry["pairs"] is not None:
+            edges, orbits = free, [entry["pairs"][e] for e in free]
+            merged = (len({sum(pw[v] for v in e) for e in free})
+                      - len(set(orbits)))
+        else:
+            closure = Hypergraph(n, r, parent.edges + tuple(free))
+            assert not free or not is_connected(closure), parent
+            continue
+        searched += 1
+        merges += merged
+        # Every free child shares the key of the first child of its orbit,
+        # which alone is canonicalized.
         first = {}
         members = {}
-        for e, orbit in zip(allowed, orbits):
+        for e, orbit in zip(edges, orbits):
             key = canonical_key(parent.with_edge(e))
             skipped += orbit in first
             assert first.setdefault(orbit, key) == key, (parent, e)
             members.setdefault(orbit, set()).add(e)
-        aut = _automorphisms(parent)
-        want = {frozenset(tuple(sorted([p[v] for v in e])) for p in aut)
-                for e in allowed}
-        assert {frozenset(m) for m in members.values()} == want, parent
-    merges = sum(m for *_, m in expanded)
+        assert {frozenset(m) for m in members.values()} == aut_orbits(free), parent
     assert skipped > 100 and merges > 20, (skipped, merges)
+    assert searched > len(parents) // 3, (searched, len(parents))
     for h, seeds, out in seeded:
         assert out == canonical_form(h), h
         for g in seeds or []:
             assert relabel(h, tuple(g)) == h, (h, g)
+
+
+def test_pair_orbits_are_built_only_where_the_detector_walks(monkeypatch):
+    """The level search hands every detector a pair-orbit builder, and a
+    detector that cannot walk never calls it: at (6,2,BP6) a Berge path
+    of length 6 needs 7 vertices, so no parent builds its pair orbits.
+    At (6,2,BP5) parents do."""
+    import bergeturan.search as search
+
+    detector = search.new_edge_detector
+    calls = {"detectors": 0, "built": 0}
+
+    def counting_detector(h, k, mode, pair_orbits):
+        calls["detectors"] += 1
+
+        def counting_pairs():
+            calls["built"] += 1
+            return pair_orbits()
+
+        return detector(h, k, mode, counting_pairs)
+
+    monkeypatch.setattr(search, "new_edge_detector", counting_detector)
+    enumerate_connected_free(6, 2, FamilySpec("bp", 6))
+    assert calls["detectors"] > 100 and calls["built"] == 0, calls
+    enumerate_connected_free(6, 2, FamilySpec("bp", 5))
+    assert calls["built"] > 20, calls
+
+
+def test_anchored_walks_are_pinned(monkeypatch):
+    """One anchored walk per pair orbit of each parent, and only for the
+    first candidate of each twin-orbit code: (8,3,BP4) takes 162 walks
+    (192 when every pair of a tested candidate was walked)."""
+    from bergeturan import berge
+
+    walk = berge._walk
+    walks = []
+
+    def counting_walk(*args, **kwargs):
+        walks.append(args[3])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(berge, "_walk", counting_walk)
+    out = exact_ex_conn(8, 3, FamilySpec("bp", 4))
+    assert (out.value, out.nodes_explored) == (6, 1528)
+    assert len(walks) == 162 and all(a is not None for a in walks)
 
 
 def _levels_with_and_without_deletion_test(n, r, spec, **kw):
