@@ -63,8 +63,7 @@ rest of e, and a candidate's answer is the OR over its pairs.  An
 automorphism of h maps the walks anchored at a pair onto those anchored
 at its image, so given the orbits of vertex pairs under a group of
 automorphisms of h (the search passes those of its known generators),
-each orbit is walked at most once per h: one walk per pair orbit, and
-at most C(n, 2) without the orbits.
+each orbit is walked at most once per h: one walk per pair orbit.
 
 All functions are pure and deterministic.  Because sequences are
 visited in lexicographic order, a path witness has the lexicographically
@@ -211,7 +210,7 @@ def _walk(
     index: list[dict[int, list[int]]],
     most: int,
     close_from: int = 0,
-    anchor: tuple[tuple[int, ...], int] | None = None,
+    anchor: tuple[tuple[int, int], int] | None = None,
     classes: Sequence[int] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The depth-first walk behind every query.
@@ -220,9 +219,9 @@ def _walk(
     long as the matcher can give the new pair a distinct instance.
     ``most`` is the largest witness length (instance count) to reach.
     Unanchored, sequences start at each vertex in ascending order.  With
-    ``anchor`` = (edge, inst) they start at each pair u < v of ``edge``
-    instead, and that first slot holds only ``inst``, an instance id
-    outside the index, so every sequence walked uses ``inst`` there.
+    ``anchor`` = ((u, v), inst), u < v, they start at u, v instead, and
+    that first slot holds only ``inst``, an instance id outside the
+    index, so every sequence walked uses ``inst`` there.
 
     Path mode (``close_from`` 0) returns the first deepest sequence,
     stopping early once it has ``most`` edges.  It grows the right end;
@@ -310,15 +309,11 @@ def _walk(
         return False
 
     if anchor is not None:
-        edge, inst = anchor
-        for u, v in itertools.combinations(edge, 2):
-            seq[:] = (u, v)
-            used[u] = used[v] = True
-            matcher.push([inst])
-            if extend():
-                break
-            matcher.pop()
-            used[u] = used[v] = False
+        (u, v), inst = anchor
+        seq[:] = (u, v)
+        used[u] = used[v] = True
+        matcher.push([inst])
+        extend()
     else:
         starts = set(_class_firsts((v for v in range(len(index)) if index[v]),
                                    classes))
@@ -438,39 +433,39 @@ def contains_berge_cycle(
 def new_edge_detector(
     h: Hypergraph,
     k: int,
-    cycle_mode: str | None = None,
-    pair_orbits: Callable[[], dict[tuple[int, int], int]] | None = None,
+    cycle_mode: str | None,
+    pair_orbits: Callable[[], dict[tuple[int, int], int]],
 ) -> Callable[[tuple[int, ...]], bool]:
     """A test ``e -> bool``: does h plus one more instance of the sorted
     edge e contain a Berge path of length k (``cycle_mode`` None), or a
     Berge cycle of length exactly k ("exact") or at least k ("at_least")?
 
     Precondition: h contains none.  Then any witness in h + e uses the
-    added instance, so the walk is anchored at it, on each pair u < v of
-    e.  That first slot holds only the added instance, and every other
-    slot is matched to an instance of h over the pair index of h, so the
+    added instance, so the walk is anchored at it, on a pair u < v of e.
+    That first slot holds only the added instance, and every other slot
+    is matched to an instance of h over the pair index of h, so the
     answer for a pair does not depend on the rest of e, and a test is the
     OR of its pairs' answers.  An automorphism of h maps the walks
     anchored at a pair onto those anchored at its image, so the answer is
     also the same for every pair on one orbit of a group of automorphisms
-    of h.  ``pair_orbits``, when given, returns a map from every pair
-    u < v to an id shared by the pairs of one such orbit; it is called
-    once, and only if the detector can walk at all.  Each orbit (each
-    pair, without ``pair_orbits``) is walked at most once per call, on
-    its first lookup: one walk per pair orbit for all candidates of h.
-    On an h that breaks the precondition the answers mean nothing.
+    of h.  ``pair_orbits`` returns a map from every pair u < v to an id
+    shared by the pairs of one such orbit (the trivial group's map sends
+    each pair to itself); it is called once, and only if the detector can
+    walk at all.  Each orbit is walked at most once per call, on its
+    first lookup: one walk per pair orbit for all candidates of h.  On an
+    h that breaks the precondition the answers mean nothing.
     """
     inst = len(h.edges)
     most, close_from, cap = _bounds(k, cycle_mode, inst + 1, h.n)
     if k > cap:
         return lambda e: False
     index = _pair_index(h)
-    orbit = None if pair_orbits is None else pair_orbits()
-    answers: dict = {}  # pair orbit id (the pair itself) -> its answer
+    orbit = pair_orbits()
+    answers: dict = {}  # pair orbit id -> its answer
 
     def violates_with(e: tuple[int, ...]) -> bool:
         for pair in itertools.combinations(e, 2):
-            key = pair if orbit is None else orbit[pair]
+            key = orbit[pair]
             hit = answers.get(key)
             if hit is None:
                 hit = _counts(_walk(index, most, close_from, (pair, inst)),

@@ -16,6 +16,7 @@ suite for the explicit witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .berge import contains_berge_path
 from .formulas import _clique_pendant_count, _hub_count
@@ -262,8 +263,6 @@ def clique_pendant_family(n: int, r: int, k: int) -> Hypergraph:
     if n < k - 1:
         raise FamilyParamError(f"need n >= k-1, got n={n}, k={k}")
     s = k - 2
-    from itertools import combinations
-
     edges = [list(c) for c in combinations(range(s), r)]
     core = list(range(r - 1))
     edges.extend(core + [v] for v in range(s, n))
@@ -328,68 +327,42 @@ class FamilyInfo:
     expected_count: object  # (n, r, k) -> int
 
 
-_FAMILIES: dict[str, FamilyInfo] = {}
-
-
-def _register(name: str, forbidden, builder, expected_count) -> None:
-    _FAMILIES[name] = FamilyInfo(forbidden, builder, expected_count)
-
-
-_register(
-    "star", lambda r, k: 3,
-    lambda n, r, k: bp3_free_family(n, r, "star"),
-    lambda n, r, k: _hub_count(n, 3, r - 1),
-)
-_register(
-    "double-edge", lambda r, k: 3,
-    lambda n, r, k: bp3_free_family(n, r, "double_edge"),
-    lambda n, r, k: 2,
-)
-_register(
-    "bp4-compact", lambda r, k: 4,
-    lambda n, r, k: bp4_free_family(n, r, "compact"),
-    lambda n, r, k: 4,
-)
-_register(
-    "bp4-pair-hub", lambda r, k: 4,
-    lambda n, r, k: bp4_free_family(n, r, "pair_hub"),
-    lambda n, r, k: (n - 4) // (r - 2) + 2,
-)
-_register(
-    "bp4-point-hub", lambda r, k: 4,
-    lambda n, r, k: bp4_free_family(n, r, "point_hub"),
-    lambda n, r, k: (n - 5) // (r - 1) + 3,
-)
-_register(
-    "hub", lambda r, k: k,
-    lambda n, r, k: hub_family(n, r, k),
-    lambda n, r, k: _hub_count(n, k, r),
-)
-_register(
-    "cycle-hub", lambda r, k: k,
-    lambda n, r, k: cycle_satellite_family(n, r, k),
-    lambda n, r, k: _satellite_count(n, r, k, (k - 1) * (r - 1)),
-)
-_register(
-    "sunflower", lambda r, k: r + 1,
-    lambda n, r, k: sunflower_family(n, r),
-    _clique_pendant_count,  # called with k = r+1
-)
-_register(
-    "clique-pendants", lambda r, k: k,
-    lambda n, r, k: clique_pendant_family(n, r, k),
-    _clique_pendant_count,
-)
-_register(
-    "multi-star", lambda r, k: k,
-    lambda n, r, k: multi_family(n, r, k, "star"),
-    lambda n, r, k: _hub_count(n, k, r - 1),
-)
-_register(
-    "multi-cycle", lambda r, k: k,
-    lambda n, r, k: multi_family(n, r, k, "cycle"),
-    lambda n, r, k: _satellite_count(n, r, k, r),
-)
+_FAMILIES: dict[str, FamilyInfo] = {
+    "star": FamilyInfo(lambda r, k: 3,
+                       lambda n, r, k: bp3_free_family(n, r, "star"),
+                       lambda n, r, k: _hub_count(n, 3, r - 1)),
+    "double-edge": FamilyInfo(lambda r, k: 3,
+                              lambda n, r, k: bp3_free_family(n, r, "double_edge"),
+                              lambda n, r, k: 2),
+    "bp4-compact": FamilyInfo(lambda r, k: 4,
+                              lambda n, r, k: bp4_free_family(n, r, "compact"),
+                              lambda n, r, k: 4),
+    "bp4-pair-hub": FamilyInfo(lambda r, k: 4,
+                               lambda n, r, k: bp4_free_family(n, r, "pair_hub"),
+                               lambda n, r, k: (n - 4) // (r - 2) + 2),
+    "bp4-point-hub": FamilyInfo(lambda r, k: 4,
+                                lambda n, r, k: bp4_free_family(n, r, "point_hub"),
+                                lambda n, r, k: (n - 5) // (r - 1) + 3),
+    "hub": FamilyInfo(lambda r, k: k,
+                      lambda n, r, k: hub_family(n, r, k),
+                      lambda n, r, k: _hub_count(n, k, r)),
+    "cycle-hub": FamilyInfo(
+        lambda r, k: k,
+        lambda n, r, k: cycle_satellite_family(n, r, k),
+        lambda n, r, k: _satellite_count(n, r, k, (k - 1) * (r - 1))),
+    "sunflower": FamilyInfo(lambda r, k: r + 1,
+                            lambda n, r, k: sunflower_family(n, r),
+                            _clique_pendant_count),  # called with k = r+1
+    "clique-pendants": FamilyInfo(lambda r, k: k,
+                                  lambda n, r, k: clique_pendant_family(n, r, k),
+                                  _clique_pendant_count),
+    "multi-star": FamilyInfo(lambda r, k: k,
+                             lambda n, r, k: multi_family(n, r, k, "star"),
+                             lambda n, r, k: _hub_count(n, k, r - 1)),
+    "multi-cycle": FamilyInfo(lambda r, k: k,
+                              lambda n, r, k: multi_family(n, r, k, "cycle"),
+                              lambda n, r, k: _satellite_count(n, r, k, r)),
+}
 
 
 def family_names() -> list[str]:

@@ -30,16 +30,16 @@ pairs under the twin swaps and the generators, so one walk answers every
 pair of that orbit.  Then the generators merge the codes of the free
 candidates, which form a union of orbits, into the orbits of the
 parent's automorphism group, and only the first child of each such
-orbit is canonicalized; the others share its key.  (For r = 2 the
-candidates are the pairs, and their orbits, once built for the
-detector, serve again.)  That child's canonical search starts from the
-parent's generators that map the new edge onto itself, which prune its
-search tree from the root, and the child carries them on with the ones
-it finds.  Representatives resumed from a checkpoint get their
-generators from one canonicalization each, so a resumed level has the
-same orbits as in a fresh run.  Every candidate is still built and
-counted as tested, and every feasible one joins the reachability closure
-below.
+orbit is canonicalized; the others share its key.  Both orbit searches
+of a parent fill one memo of twin-orbit codes, so no code is searched
+twice (``_candidate_orbits`` says why that is exact).  That child's
+canonical search starts from the parent's generators that map the new
+edge onto itself, which prune its search tree from the root, and the
+child carries them on with the ones it finds.  Representatives resumed
+from a checkpoint get their generators from one canonicalization each,
+so a resumed level has the same orbits as in a fresh run.  Every
+candidate is still built and counted as tested, and every feasible one
+joins the reachability closure below.
 
 Before that child is canonicalized it must pass McKay's cheap deletion
 test: no edge of the child may have a strictly larger invariant than the
@@ -198,8 +198,8 @@ def _levels(
     twins and its carried generators; it builds those pair orbits only
     if it walks.  Of each orbit of free candidates under the same group,
     only the first child is canonicalized, seeded with the generators
-    that fix its new edge; for r = 2 the pair orbits give those orbits
-    when the detector built them.  Every candidate is still counted in
+    that fix its new edge; both orbit searches share the parent's memo
+    of twin-orbit codes.  Every candidate is still counted in
     ``tested``.  A parent's twin-orbit codes for all candidates come from
     one pass over the combinations of its twin weights, in candidate
     order, and the edges at the multiplicity cap are dropped from the
@@ -256,18 +256,15 @@ def _levels(
             # code is the sum of its vertices' weights; the combinations
             # of the weights give the codes in candidate order.
             pw = [(r + 1) ** c for c in twin_classes(inc)]
-            # Pair -> its orbit id under the twin swaps and ``gens``,
-            # filled only if the detector walks.
-            pair_ids: dict[tuple[int, int], int] = {}
-
-            def pair_orbits() -> dict[tuple[int, int], int]:
-                pair_codes = list(map(sum, itertools.combinations(pw, 2)))
-                pair_ids.update(zip(pairs, _candidate_orbits(
-                    pairs, pair_codes, pw, gens)))
-                return pair_ids
-
+            # Twin-orbit code -> its orbit id under the twin swaps and
+            # ``gens``, for the pairs and the free candidates alike.
+            orbit: dict[int, int] = {}
             # Exact because the parent is free: see the module docstring.
-            violates_with = new_edge_detector(parent, spec.k, mode, pair_orbits)
+            # The detector builds its pair orbits only if it walks.
+            violates_with = new_edge_detector(parent, spec.k, mode, lambda: dict(
+                zip(pairs, _candidate_orbits(
+                    pairs, list(map(sum, itertools.combinations(pw, 2))), pw,
+                    gens, orbit))))
             allowed = candidates.copy()
             codes = list(map(sum, itertools.combinations(pw, r)))
             # Drop the edges at the cap from the back, so that the
@@ -305,15 +302,11 @@ def _levels(
                 complete = False
                 continue
             # The feasible edges are a union of orbits under the twin swaps
-            # and ``gens``; keep the first edge of each.  For r = 2 they
-            # are pairs, whose orbit ids the detector may have built.
-            if r == 2 and pair_ids:
-                orbits = map(pair_ids.__getitem__, feasible_edges)
-            else:
-                orbits = _candidate_orbits(feasible_edges, feasible_codes, pw, gens)
+            # and ``gens``; keep the first edge of each.
             firsts: dict[int, tuple[int, ...]] = {}
-            for e, orbit in zip(feasible_edges, orbits):
-                firsts.setdefault(orbit, e)
+            for e, orbit_id in zip(feasible_edges, _candidate_orbits(
+                    feasible_edges, feasible_codes, pw, gens, orbit)):
+                firsts.setdefault(orbit_id, e)
             # Vertex v weighs (r + 1) ** (its degree in the parent).
             kept.append((parent, gens, counts, [(r + 1) ** len(i) for i in inc],
                          list(firsts.values())))
@@ -407,7 +400,7 @@ def _admit(
 
 def _candidate_orbits(
     allowed: list[tuple[int, ...]], codes: list[int], pw: list[int],
-    gens: list[list[int]],
+    gens: list[list[int]], orbit: dict[int, int],
 ) -> list[int]:
     """For each allowed edge, an id of its orbit under the swaps of twins
     and under ``gens``.  The allowed edges (all candidates, the free ones
@@ -419,7 +412,16 @@ def _candidate_orbits(
     are the vertices of equal ``pw``.  Each generator permutes the twin
     classes, so it maps a whole twin orbit onto one twin orbit, and one
     edge per orbit shows where.  Without a generator that moves a class
-    the ids are ``codes`` itself.
+    the ids are ``codes`` itself, and ``orbit`` is left as it is.
+
+    ``orbit`` is the parent's memo, code -> orbit id, shared by its two
+    calls, over its pairs and over its free candidates: only codes not
+    in it are searched, and each search adds its whole orbit.  That is
+    exact.  At r = 2 the free candidates are pairs, whose codes the pair
+    call, if made, has placed.  At r >= 3 no pair code equals an r-set
+    code: a code's base r + 1 digits (none above r) count the edge's
+    vertices per twin class, so a pair's digits sum to 2 and an r-set's
+    to r.
     """
     # A generator acts on the codes only through the twin class of each
     # vertex's image, so only distinct maps that move a class can merge.
@@ -427,8 +429,7 @@ def _candidate_orbits(
     if not moves:
         return codes
     edge_of = dict(zip(codes, allowed))
-    # Code -> the first code of its orbit, by a search from each new one.
-    orbit: dict[int, int] = {}
+    # Each new code's orbit, found by a search from it, gets its first code.
     for first in edge_of:
         if first in orbit:
             continue

@@ -275,8 +275,9 @@ def test_witnesses_are_the_least_qualifying_sequences():
 
 
 def test_anchored_walk_witnesses_use_the_added_instance():
-    """An anchored walk's witness is a Berge path or cycle of h plus the
-    added instance, and that instance is in it."""
+    """A walk anchored at a pair of the added edge e finds a witness that
+    is a Berge path or cycle of h plus the added instance, and that
+    instance is in it."""
     from bergeturan.berge import _pair_index, _walk
     from bergeturan.hypergraph import Hypergraph
 
@@ -290,12 +291,14 @@ def test_anchored_walk_witnesses_use_the_added_instance():
         index = _pair_index(h)
         for k in (2, 3, 4, 5):
             for kind, close_from in (("path", 0), ("cycle", k)):
-                found = _walk(index, k, close_from, (e, inst))
-                if found is None:
-                    continue
-                w = BergeWitness(kind, *found)
-                assert verify_witness(child, w) and inst in w.edge_instances, (h, e, w)
-                checked[kind] += 1
+                for pair in itertools.combinations(e, 2):
+                    found = _walk(index, k, close_from, (pair, inst))
+                    if found is None:
+                        continue
+                    w = BergeWitness(kind, *found)
+                    assert verify_witness(child, w) and inst in w.edge_instances, (
+                        h, e, w)
+                    checked[kind] += 1
     assert min(checked.values()) > 50, checked
 
 
@@ -361,13 +364,19 @@ def _pair_orbit_ids(h):
             for pair in itertools.combinations(range(h.n), 2)}
 
 
+def _each_pair(n):
+    """The pair orbits of the trivial group: each pair is its own."""
+    return lambda: {p: p for p in itertools.combinations(range(n), 2)}
+
+
 def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
-    """On a parent free of the configuration, the detector walks each
-    anchor pair at most once over all candidate edges, so at most C(n, 2)
-    times.  Given the pair orbits of Aut(parent) (by brute force, n <= 6)
-    it walks each orbit at most once, builds them once and only where it
-    can walk, and walks fewer pairs in all.  Either way it answers as one
-    unmemoized walk anchored at the whole edge."""
+    """On a parent free of the configuration, the detector given the
+    trivial pair orbits walks each anchor pair at most once over all
+    candidate edges, so at most C(n, 2) times.  Given the pair orbits of
+    Aut(parent) (by brute force, n <= 6) it walks each orbit at most
+    once, builds them once and only where it can walk, and walks fewer
+    pairs in all.  Either way it answers as the OR of unmemoized walks
+    anchored at each pair of the edge."""
     from math import comb
 
     from bergeturan import berge
@@ -404,11 +413,13 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
         index = berge._pair_index(h)
         expect = {}
         for e in itertools.combinations(range(n), r):
-            found = walk(index, most, close_from, (e, inst)) if k <= cap else None
-            expect[e] = found is not None and (close_from > 0 or len(found[1]) == k)
+            expect[e] = k <= cap and any(
+                berge._counts(walk(index, most, close_from, (pair, inst)),
+                              k, close_from)
+                for pair in itertools.combinations(e, 2))
             seen[expect[e]] += 1
         anchors.clear()
-        test = berge.new_edge_detector(h, k, mode)
+        test = berge.new_edge_detector(h, k, mode, _each_pair(n))
         for e, want in expect.items():
             assert test(e) == want, (h, k, mode, e)
         assert len(set(anchors)) == len(anchors) <= comb(n, 2), (h, k, mode)
@@ -448,7 +459,7 @@ def test_queries_leave_no_cycles_behind():
         assert contains_berge_cycle(path, 2, "at_least", want_witness=True)[0]
         # The star is free of BP4; a pendant-to-pendant edge completes
         # one, a second copy of its first edge does not.
-        test = new_edge_detector(star, 4)
+        test = new_edge_detector(star, 4, None, _each_pair(star.n))
         assert test((1, 3, 5)) and not test((0, 1, 2))
         assert gc.collect() == 0
     finally:
@@ -697,7 +708,7 @@ def test_cycle_query_refuses_a_missing_mode():
     path = build(4, 2, [[0, 1], [1, 2], [2, 3]])
     with pytest.raises(ValueError, match="cycle mode None"):
         contains_berge_cycle(path, 3, None, want_witness=True)
-    test = new_edge_detector(build(4, 2, [[0, 1], [1, 2]]), 3, None)
+    test = new_edge_detector(build(4, 2, [[0, 1], [1, 2]]), 3, None, _each_pair(4))
     assert test((2, 3)) and not test((0, 2))
 
 

@@ -90,7 +90,10 @@ def test_child_violates_matches_full_detector():
         spec = FamilySpec(rng.choice(("bp", "bc_exact", "bc_at_least")),
                           rng.randint(2, 6), rng.choice((1, 2)))
         parent = _random_free_parent(rng, n, r, spec)
-        test = new_edge_detector(parent, spec.k, search._CYCLE_MODES[spec.kind])
+        # The trivial group's pair orbits: each pair is its own.
+        test = new_edge_detector(
+            parent, spec.k, search._CYCLE_MODES[spec.kind],
+            lambda: {p: p for p in itertools.combinations(range(n), 2)})
         for e in itertools.combinations(range(n), r):
             expect = spec.violates(parent.with_edge(e))
             assert test(e) == expect, (spec, parent.edges, e)
@@ -138,7 +141,7 @@ def test_orbit_codes_are_the_per_edge_sums(monkeypatch):
             edges = list(itertools.combinations(range(n), r))
             codes = list(map(sum, itertools.combinations(pw, r)))
             assert codes == [sum(pw[v] for v in e) for e in edges], (twin, r)
-            assert search._candidate_orbits(edges, codes, pw, []) == codes
+            assert search._candidate_orbits(edges, codes, pw, [], {}) == codes
             classes = [sorted(twin[v] for v in e) for e in edges]
             for (a, ca), (b, cb) in itertools.combinations(zip(codes, classes), 2):
                 assert (a == b) == (ca == cb), (twin, r)
@@ -152,12 +155,12 @@ def test_orbit_codes_are_the_per_edge_sums(monkeypatch):
         parents.append(h)
         return detector(h, k, mode, pair_orbits)
 
-    def check_codes(allowed, codes, pw, gens):
+    def check_codes(allowed, codes, pw, gens, orbit):
         assert codes == [sum(pw[v] for v in e) for e in allowed]
         if len(allowed[0]) == 3:  # the parent's free candidates
             assert all(parents[-1].multiplicity(e) < 2 for e in allowed)
             capped.append(parents[-1].max_multiplicity() == 2)
-        return orbits_of(allowed, codes, pw, gens)
+        return orbits_of(allowed, codes, pw, gens, orbit)
 
     monkeypatch.setattr(search, "new_edge_detector", record_parent)
     monkeypatch.setattr(search, "_candidate_orbits", check_codes)
@@ -187,9 +190,10 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
     Those orbits, restricted to the free candidates, are exactly the
     orbits of the parent's automorphism group, found by brute force over
     all n! vertex maps, and so are the pair orbits the detector walks by,
-    in a fresh run and in one resumed from a checkpoint (``budget``).  A
-    parent whose free orbits are not searched has no free candidate or
-    is pruned; for r = 2 they may come from the pair orbits instead.
+    in a fresh run and in one resumed from a checkpoint (``budget``).
+    Every kept parent's free orbits are searched; a parent that skips
+    that search has no free candidate or is pruned, and for r = 2 the
+    free pairs of such a parent are checked against its pair orbits.
     ``skipped`` counts the detector tests and canonicalizations that an
     earlier child stands in for, and ``merges`` the twin-orbit codes the
     generators merge, of pairs and of free candidates.  Every carried
@@ -239,8 +243,8 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
 
         return record_test
 
-    def record_orbits(allowed, codes, pw, gens):
-        orbits = orbits_of(allowed, codes, pw, gens)
+    def record_orbits(allowed, codes, pw, gens, orbit):
+        orbits = orbits_of(allowed, codes, pw, gens, orbit)
         entry = expanded[-1]
         entry["gens"] = [list(g) for g in gens]
         if not building:
@@ -297,16 +301,21 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
                 tested.append(e)
             assert verdict.setdefault(code, e in free) == (e in free), (parent, e)
         assert entry["tested"] == tested, parent
+        # Every kept parent's free orbits are searched: one that skips the
+        # search has no free candidate or is pruned.
+        closure = Hypergraph(n, r, parent.edges + tuple(free))
+        kept = bool(free) and is_connected(closure)
+        assert (entry["free"] is not None) == kept, parent
         if entry["free"] is not None:
             edges, orbits, merged = entry["free"]
             assert edges == free, parent
         elif r == 2 and entry["pairs"] is not None:
+            # A pruned parent whose pair orbits were built: they still
+            # give the orbits of its free pairs, which are checked too.
             edges, orbits = free, [entry["pairs"][e] for e in free]
             merged = (len({sum(pw[v] for v in e) for e in free})
                       - len(set(orbits)))
         else:
-            closure = Hypergraph(n, r, parent.edges + tuple(free))
-            assert not free or not is_connected(closure), parent
             continue
         searched += 1
         merges += merged
@@ -352,6 +361,77 @@ def test_pair_orbits_are_built_only_where_the_detector_walks(monkeypatch):
     assert calls["detectors"] > 100 and calls["built"] == 0, calls
     enumerate_connected_free(6, 2, FamilySpec("bp", 5))
     assert calls["built"] > 20, calls
+
+
+def test_one_orbit_memo_serves_pairs_and_free_candidates(monkeypatch):
+    """A parent's pair orbits and free-candidate orbits share one memo of
+    twin-orbit codes.  For r = 3..5 and random twin lists no pair code
+    equals an r-set code, so neither kind reads the other's entries.  At
+    r = 2 the free candidates are pairs: in (6,2,BP5), every parent whose
+    detector built its pair orbits, through a memo of its own, adds no
+    entry in its call over its free candidates, and that call gives them
+    their pairs' orbit ids."""
+    import itertools
+    import random
+
+    import bergeturan.search as search
+
+    rng = random.Random(61)
+    for r in (3, 4, 5):
+        for _ in range(40):
+            n = rng.randrange(r, 11)
+            twin = []
+            for _ in range(n):
+                twin.append(rng.randrange(max(twin, default=-1) + 2))
+            pw = [(r + 1) ** c for c in twin]
+            pair_codes = set(map(sum, itertools.combinations(pw, 2)))
+            set_codes = set(map(sum, itertools.combinations(pw, r)))
+            assert not pair_codes & set_codes, (twin, r)
+
+    orbits_of = search._candidate_orbits
+    detector = search.new_edge_detector
+    parents = []  # per parent: its calls as (memo, allowed, ids, entries added)
+    building = []  # non-empty while the detector builds the pair orbits
+
+    def record_detector(h, k, mode, pair_orbits):
+        parents.append({})
+
+        def record_pairs():
+            building.append(True)
+            ids = pair_orbits()
+            building.pop()
+            return ids
+
+        return detector(h, k, mode, record_pairs)
+
+    def record_orbits(allowed, codes, pw, gens, orbit):
+        size = len(orbit)
+        ids = orbits_of(allowed, codes, pw, gens, orbit)
+        kind = "pairs" if building else "free"
+        assert kind not in parents[-1]
+        parents[-1][kind] = (orbit, allowed, ids, len(orbit) - size)
+        return ids
+
+    monkeypatch.setattr(search, "new_edge_detector", record_detector)
+    monkeypatch.setattr(search, "_candidate_orbits", record_orbits)
+    enumerate_connected_free(6, 2, FamilySpec("bp", 5))
+    both = filled = 0
+    memos = set()
+    for calls in parents:
+        if "pairs" not in calls:
+            continue
+        memo, pairs, pair_ids, added = calls["pairs"]
+        assert id(memo) not in memos
+        memos.add(id(memo))
+        filled += added > 0
+        if "free" not in calls:
+            continue
+        both += 1
+        free_memo, free, ids, free_added = calls["free"]
+        assert free_memo is memo and free_added == 0
+        orbit_of = dict(zip(pairs, pair_ids))
+        assert ids == [orbit_of[e] for e in free]
+    assert both > 20 and filled > 20, (both, filled)
 
 
 def test_anchored_walks_are_pinned(monkeypatch):
@@ -971,8 +1051,8 @@ def test_checkpoint_resume_with_carried_generators(tmp_path, monkeypatch):
     counts = []     # orbits per expanded parent, in expansion order
     orbits_of = search._candidate_orbits
 
-    def record(allowed, twin, r, gens):
-        orbits = orbits_of(allowed, twin, r, gens)
+    def record(allowed, twin, r, gens, orbit):
+        orbits = orbits_of(allowed, twin, r, gens, orbit)
         counts.append(len(set(orbits)))
         return orbits
 
