@@ -64,6 +64,16 @@ automorphism of h maps the walks anchored at a pair onto those anchored
 at its image, so given the orbits of vertex pairs under a group of
 automorphisms of h (the search passes those of its known generators),
 each orbit is walked at most once per h: one walk per pair orbit.
+A witness found by one walk also answers other pairs.  Let it hold the
+added instance at the slot of a, b, and let X (Y) be the vertices off
+the witness in the instance before a (after b), read cyclically in a
+cycle; at a path end, X (Y) is every vertex off the witness.  Then for
+x in X + {a} and y in Y + {b} with x != y, replacing a by x and b by y
+gives a Berge path or cycle of the same length whose added instance sits
+at x, y: the instances on either side still hold the new neighbours,
+and no vertex repeats.  So every such pair's orbit is answered "yes"
+without a walk, and a candidate with a pair already answered "yes" is
+answered before any of its unknown pairs is walked.
 
 All functions are pure and deterministic.  Because sequences are
 visited in lexicographic order, a path witness has the lexicographically
@@ -452,8 +462,20 @@ def new_edge_detector(
     shared by the pairs of one such orbit (the trivial group's map sends
     each pair to itself); it is called once, and only if the detector can
     walk at all.  Each orbit is walked at most once per call, on its
-    first lookup: one walk per pair orbit for all candidates of h.  On an
-    h that breaks the precondition the answers mean nothing.
+    first lookup: one walk per pair orbit for all candidates of h.
+
+    A witness also proves every pair it can be moved onto: with a, b the
+    ends of the added instance's slot, a may become any vertex off the
+    witness that the instance before a holds, b any such vertex of the
+    instance after b (cyclically in a cycle), and an end of a path any
+    vertex off the witness; the result is a witness of the same length
+    through the added instance.  Each walk that finds a witness marks
+    all those pairs' orbits "yes" (never overwriting a walked answer), so
+    the map must cover every pair, not only those of candidates.  Before
+    walking a candidate's first unknown pair, the detector answers "yes"
+    if any of its pairs is already known to.  Only the walks made depend
+    on the order candidates are asked in; the answers do not.  On an h
+    that breaks the precondition the answers mean nothing.
     """
     inst = len(h.edges)
     most, close_from, cap = _bounds(k, cycle_mode, inst + 1, h.n)
@@ -463,14 +485,45 @@ def new_edge_detector(
     orbit = pair_orbits()
     answers: dict = {}  # pair orbit id -> its answer
 
+    def prove(vertices: tuple[int, ...], insts: tuple[int, ...]) -> None:
+        """Mark every pair the witness proves: the ends a, b of the added
+        instance's slot may move to any vertex off the witness that the
+        instance on their side holds, or at a path end to any such
+        vertex."""
+        size = len(insts)
+        j = insts.index(inst)
+        off = [v for v in range(h.n) if v not in vertices]
+        ends = []
+        for side in (j - 1, j + 1):
+            if close_from or 0 <= side < size:  # an instance beside the slot
+                edge = h.edges[insts[side % size]]
+                ends.append([v for v in off if v in edge])
+            else:  # a path end
+                ends.append(off.copy())
+        xs, ys = ends
+        xs.append(vertices[j])
+        ys.append(vertices[(j + 1) % len(vertices)])
+        for x in xs:
+            for y in ys:
+                if x != y:
+                    answers.setdefault(orbit[(x, y) if x < y else (y, x)], True)
+
     def violates_with(e: tuple[int, ...]) -> bool:
+        looked = False
         for pair in itertools.combinations(e, 2):
             key = orbit[pair]
             hit = answers.get(key)
             if hit is None:
-                hit = _counts(_walk(index, most, close_from, (pair, inst)),
-                              k, close_from)
-                answers[key] = hit
+                # Before the first walk: another pair may be proved already.
+                if not looked:
+                    looked = True
+                    if any(map(answers.get, map(orbit.__getitem__,
+                                                itertools.combinations(e, 2)))):
+                        return True
+                found = _walk(index, most, close_from, (pair, inst))
+                hit = answers[key] = _counts(found, k, close_from)
+                if hit:
+                    prove(*found)
             if hit:
                 return True
         return False

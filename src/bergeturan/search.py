@@ -194,16 +194,18 @@ def _levels(
     forbidden family, so ``berge.new_edge_detector``, built once per
     parent, tests its candidates exactly.  Of each twin-orbit code, only
     the first child in candidate order is tested, and the detector walks
-    one pair per orbit of vertex pairs under the swaps of the parent's
-    twins and its carried generators; it builds those pair orbits only
-    if it walks.  Of each orbit of free candidates under the same group,
-    only the first child is canonicalized, seeded with the generators
-    that fix its new edge; both orbit searches share the parent's memo
-    of twin-orbit codes.  Every candidate is still counted in
-    ``tested``.  A parent's twin-orbit codes for all candidates come from
-    one pass over the combinations of its twin weights, in candidate
-    order, and the edges at the multiplicity cap are dropped from the
-    candidates and the codes together.  One pass over the parent's
+    at most one pair per orbit of vertex pairs under the swaps of the
+    parent's twins and its carried generators; it builds those pair
+    orbits only if it walks, over every pair (those at the multiplicity
+    cap too), since a witness it finds can prove any pair.  Of each
+    orbit of free candidates under the same group, only the first child
+    is canonicalized, seeded with the generators that fix its new edge;
+    both orbit searches share the parent's memo of twin-orbit codes.
+    Every candidate is still counted in ``tested``.  A parent's
+    twin-orbit codes for all candidates come from one pass over the
+    combinations of its twin weights, in candidate order, and the edges
+    at the multiplicity cap are dropped from the candidates and the
+    codes together.  One pass over the parent's
     incidences gives its twin classes and, if it is kept, its vertex
     weights for the deletion test.
     Each level takes two passes: the expand pass tests every parent's

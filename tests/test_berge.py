@@ -369,6 +369,23 @@ def _each_pair(n):
     return lambda: {p: p for p in itertools.combinations(range(n), 2)}
 
 
+def _random_free(rng, n, r, k, mode):
+    """A random multi-hypergraph free of the Berge path of length k
+    (``mode`` None) or cycle: a random prefix of each r-set twice over, in
+    shuffled order, keeping each edge that leaves it free."""
+    if mode is None:
+        contains = lambda g: contains_berge_path(g, k)  # noqa: E731
+    else:
+        contains = lambda g: contains_berge_cycle(g, k, mode)  # noqa: E731
+    pool = list(itertools.combinations(range(n), r)) * 2
+    rng.shuffle(pool)
+    edges = []
+    for e in pool[: rng.randint(0, len(pool))]:
+        if not contains(build(n, r, edges + [e])):
+            edges.append(e)
+    return build(n, r, edges)
+
+
 def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
     """On a parent free of the configuration, the detector given the
     trivial pair orbits walks each anchor pair at most once over all
@@ -397,17 +414,7 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
         r = rng.randint(2, min(4, n))
         k = rng.randint(2, 5)
         mode = rng.choice((None, "exact", "at_least"))
-        if mode is None:
-            contains = lambda g: contains_berge_path(g, k)  # noqa: E731
-        else:
-            contains = lambda g: contains_berge_cycle(g, k, mode)  # noqa: E731
-        pool = list(itertools.combinations(range(n), r)) * 2
-        rng.shuffle(pool)
-        edges = []
-        for e in pool[: rng.randint(0, len(pool))]:
-            if not contains(build(n, r, edges + [e])):
-                edges.append(e)
-        h = build(n, r, edges)
+        h = _random_free(rng, n, r, k, mode)
         inst = len(h.edges)
         most, close_from, cap = berge._bounds(k, mode, inst + 1, n)
         index = berge._pair_index(h)
@@ -440,6 +447,64 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
         walks["orbits"] += len(anchors)
     assert min(seen.values()) > 300, seen
     assert walks["orbits"] < 0.8 * walks["pairs"], walks
+
+
+def test_new_edge_detector_answers_in_any_order_as_unmemoized_walks():
+    """A witness found by one anchored walk also answers the pairs it
+    proves, so the detector's answers depend on the order candidates are
+    asked in only through which pairs it walks.  On random free
+    multi-hypergraphs, for paths and both cycle modes, every candidate
+    asked in each of several shuffled orders, with the trivial pair
+    orbits and (n <= 6) those of Aut(h), is answered as the OR of
+    unmemoized walks anchored at its pairs; and the witnesses answer
+    enough pairs to save walks."""
+    from bergeturan import berge
+
+    walk = berge._walk
+    walked = []
+
+    def counting_walk(index, most, close_from=0, anchor=None, classes=None):
+        walked.append(anchor[0])
+        return walk(index, most, close_from, anchor, classes)
+
+    rng = random.Random(30)
+    seen = {True: 0, False: 0}
+    hits_seen = {"all": 0, "walked": 0}
+    for trial in range(120):
+        n = rng.randint(3, 8)
+        r = rng.randint(2, min(4, n))
+        k = rng.randint(1 if trial % 3 == 0 else 2, 6)
+        mode = (None, "exact", "at_least")[trial % 3]
+        h = _random_free(rng, n, r, k, mode)
+        inst = len(h.edges)
+        most, close_from, cap = berge._bounds(k, mode, inst + 1, n)
+        index = berge._pair_index(h)
+        hits = {pair: berge._counts(walk(index, most, close_from, (pair, inst)),
+                                    k, close_from)
+                for pair in itertools.combinations(range(n), 2)}
+        expect = {e: k <= cap and any(hits[p] for p in itertools.combinations(e, 2))
+                  for e in itertools.combinations(range(n), r)}
+        for want in expect.values():
+            seen[want] += 1
+        orbit_maps = [_each_pair(n)]
+        if n <= 6:
+            orbit = _pair_orbit_ids(h)
+            orbit_maps.append(lambda: orbit)
+        for pair_orbits in orbit_maps:
+            for _ in range(3):
+                order = list(expect)
+                rng.shuffle(order)
+                walked.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(berge, "_walk", counting_walk)
+                    test = berge.new_edge_detector(h, k, mode, pair_orbits)
+                    for e in order:
+                        assert test(e) == expect[e], (h, k, mode, e, order)
+                hits_seen["all"] += sum(hits.values()) if k <= cap else 0
+                hits_seen["walked"] += sum(hits[p] for p in walked)
+    assert min(seen.values()) > 300, seen
+    # Of the pairs whose walk finds a witness, most are proved, not walked.
+    assert hits_seen["walked"] < 0.5 * hits_seen["all"], hits_seen
 
 
 def test_queries_leave_no_cycles_behind():

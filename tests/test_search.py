@@ -435,9 +435,11 @@ def test_one_orbit_memo_serves_pairs_and_free_candidates(monkeypatch):
 
 
 def test_anchored_walks_are_pinned(monkeypatch):
-    """One anchored walk per pair orbit of each parent, and only for the
-    first candidate of each twin-orbit code: (8,3,BP4) takes 162 walks
-    (192 when every pair of a tested candidate was walked)."""
+    """At most one anchored walk per pair orbit of each parent, only for
+    the first candidate of each twin-orbit code, and none for a pair a
+    witness has already proved: (8,3,BP4) takes 114 walks (162 when each
+    walk answered only its own pair, 192 when every pair of a tested
+    candidate was walked)."""
     from bergeturan import berge
 
     walk = berge._walk
@@ -450,7 +452,7 @@ def test_anchored_walks_are_pinned(monkeypatch):
     monkeypatch.setattr(berge, "_walk", counting_walk)
     out = exact_ex_conn(8, 3, FamilySpec("bp", 4))
     assert (out.value, out.nodes_explored) == (6, 1528)
-    assert len(walks) == 162 and all(a is not None for a in walks)
+    assert len(walks) == 114 and all(a is not None for a in walks)
 
 
 def _levels_with_and_without_deletion_test(n, r, spec, **kw):
