@@ -445,10 +445,13 @@ def new_edge_detector(
     k: int,
     cycle_mode: str | None,
     pair_orbits: Callable[[], dict[tuple[int, int], int]],
-) -> Callable[[tuple[int, ...]], bool]:
+) -> Callable[[tuple[int, ...]], bool] | None:
     """A test ``e -> bool``: does h plus one more instance of the sorted
     edge e contain a Berge path of length k (``cycle_mode`` None), or a
     Berge cycle of length exactly k ("exact") or at least k ("at_least")?
+    None instead when k exceeds the cap of ``_bounds`` for h plus one
+    instance: no such path or cycle fits, so every e is free, and a caller
+    can skip the tests.
 
     Precondition: h contains none.  Then any witness in h + e uses the
     added instance, so the walk is anchored at it, on a pair u < v of e.
@@ -480,7 +483,7 @@ def new_edge_detector(
     inst = len(h.edges)
     most, close_from, cap = _bounds(k, cycle_mode, inst + 1, h.n)
     if k > cap:
-        return lambda e: False
+        return None
     index = _pair_index(h)
     orbit = pair_orbits()
     answers: dict = {}  # pair orbit id -> its answer

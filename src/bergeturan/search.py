@@ -39,7 +39,9 @@ child carries them on with the ones it finds.  Representatives resumed
 from a checkpoint get their generators from one canonicalization each,
 so a resumed level has the same orbits as in a fresh run.  Every
 candidate is still built and counted as tested, and every feasible one
-joins the reachability closure below.
+joins the reachability closure below.  Where no forbidden configuration
+fits in the parent plus one instance, the detector is None and every
+candidate is feasible with no test.
 
 Before that child is canonicalized it must pass McKay's cheap deletion
 test: no edge of the child may have a strictly larger invariant than the
@@ -64,7 +66,11 @@ used to prune directly; instead a reachability-potential prune discards
 representatives whose union with all their admissible additions cannot
 connect and span the vertex set (no superset of such a representative
 can ever qualify, and every qualifying class keeps at least one live
-generation chain, so nothing is lost).
+generation chain, so nothing is lost).  The closure is built and checked
+only for a parent that rejects some candidate: otherwise it is the
+complete r-graph, since every r-set that is not a candidate is a parent
+edge at the multiplicity cap, and that is connected and spans n >= r
+vertices.
 
 Levels are expanded one parent at a time in the calling thread, in the
 order of their canonical keys, so value, witnesses and node counts are
@@ -192,7 +198,9 @@ def _levels(
     point, even one where every multiset is free (``exact_ex_conn``
     answers those without it).  Every parent expanded is free of the
     forbidden family, so ``berge.new_edge_detector``, built once per
-    parent, tests its candidates exactly.  Of each twin-orbit code, only
+    parent, tests its candidates exactly; where it is None, no forbidden
+    configuration fits in the parent plus one instance, and every
+    candidate is free with no test.  Of each twin-orbit code, only
     the first child in candidate order is tested, and the detector walks
     at most one pair per orbit of vertex pairs under the swaps of the
     parent's twins and its carried generators; it builds those pair
@@ -209,7 +217,9 @@ def _levels(
     incidences gives its twin classes and, if it is kept, its vertex
     weights for the deletion test.
     Each level takes two passes: the expand pass tests every parent's
-    candidates and applies the reachability prune, and the admit pass
+    candidates and applies the reachability prune, to a parent that
+    rejects some candidate only (with none rejected, its closure is the
+    complete r-graph, which connects and spans), and the admit pass
     canonicalizes the first children of the kept parents.  A first child
     that fails ``_passes_deletion_test`` is skipped while no parent has
     been pruned in a fresh run, this level's expand pass included:
@@ -274,23 +284,27 @@ def _levels(
             for i in sorted((position[e] for e, c in counts.items()
                              if c >= spec.multiplicity_cap), reverse=True):
                 del allowed[i], codes[i]
-            # Twin-orbit code -> whether its first child in candidate
-            # order is free; twin swaps are automorphisms, so the verdict
-            # holds for every child of the code.
-            free: dict[int, bool] = {}
-            feasible_edges: list[tuple[int, ...]] = []
-            feasible_codes: list[int] = []
             with_edge = parent.with_edge
-            for e, code in zip(allowed, codes):
-                # Unused, but built for every tested child: the traced
-                # benchmark counts tested children by these calls.
-                with_edge(e)
-                ok = free.get(code)
-                if ok is None:
-                    ok = free[code] = not violates_with(e)
-                if ok:
-                    feasible_edges.append(e)
-                    feasible_codes.append(code)
+            # A child is built for every tested candidate, though unused:
+            # the traced benchmark counts tested children by these calls.
+            if violates_with is None:  # no configuration fits: all free
+                for e in allowed:
+                    with_edge(e)
+                feasible_edges, feasible_codes = allowed, codes
+            else:
+                # Twin-orbit code -> whether its first child in candidate
+                # order is free; twin swaps are automorphisms, so the
+                # verdict holds for every child of the code.
+                free: dict[int, bool] = {}
+                feasible_edges, feasible_codes = [], []
+                for e, code in zip(allowed, codes):
+                    with_edge(e)
+                    ok = free.get(code)
+                    if ok is None:
+                        ok = free[code] = not violates_with(e)
+                    if ok:
+                        feasible_edges.append(e)
+                        feasible_codes.append(code)
             tested += len(allowed)
             if node_budget is not None and tested > node_budget:
                 raise SearchLimitError(
@@ -298,8 +312,10 @@ def _levels(
                 )
             if not feasible_edges:
                 continue
-            closure = Hypergraph(n, r, parent.edges + tuple(feasible_edges))
-            if not is_connected(closure):
+            # With none rejected the closure is the complete r-graph, which
+            # connects and spans: see the module docstring.
+            if len(feasible_edges) < len(allowed) and not is_connected(
+                    Hypergraph(n, r, parent.edges + tuple(feasible_edges))):
                 # No superset of this representative can connect and span.
                 complete = False
                 continue
@@ -621,8 +637,9 @@ def exact_ex_conn(
     finished state: no representatives, none tested, that one key.
 
     ``workers`` does not change the search: every level is expanded in
-    the calling thread.  It is kept for a process pool over subtrees,
-    which would give it a meaning again.
+    the calling thread.  It is kept for a process pool over each level's
+    expand pass, which would give it a meaning with byte-identical
+    output.
     """
     _check_limits(n, r, spec, force)
     if witness_cap < 0:
@@ -692,7 +709,7 @@ def enumerate_connected_free(
 ) -> list[Hypergraph]:
     """All connected spanning F-free hypergraphs on exactly n vertices,
     one canonical representative per isomorphism class, every edge count.
-    ``workers`` does not change the search, as in ``exact_ex_conn``."""
+    ``workers`` does not change the search yet; see ``exact_ex_conn``."""
     _check_limits(n, r, spec, force)
     return [h for _, reps, _, _ in _levels(n, r, spec)
             for h in reps if is_connected(h)]
@@ -918,8 +935,8 @@ def conjecture_check(
 ) -> ConjectureReport:
     """Compare the exact search value against the conjectured closed form
     n - (k-2) + C(k-2, r) for r+1 <= k <= 2r-1, and against the witnessing
-    construction's edge count.  ``workers`` does not change the search,
-    as in ``exact_ex_conn``."""
+    construction's edge count.  ``workers`` does not change the search
+    yet; see ``exact_ex_conn``."""
     if not (r + 1 <= k <= 2 * r - 1):
         raise ValueError(f"conjectured range is r+1 <= k <= 2r-1, got k={k}, r={r}")
     conjectured = _clique_pendant_count(n, r, k)

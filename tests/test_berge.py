@@ -369,14 +369,19 @@ def _each_pair(n):
     return lambda: {p: p for p in itertools.combinations(range(n), 2)}
 
 
+def _full_detector(k, mode):
+    """The unanchored test for a Berge path of length k (``mode`` None)
+    or a Berge cycle in ``mode``."""
+    if mode is None:
+        return lambda g: contains_berge_path(g, k)
+    return lambda g: contains_berge_cycle(g, k, mode)
+
+
 def _random_free(rng, n, r, k, mode):
     """A random multi-hypergraph free of the Berge path of length k
     (``mode`` None) or cycle: a random prefix of each r-set twice over, in
     shuffled order, keeping each edge that leaves it free."""
-    if mode is None:
-        contains = lambda g: contains_berge_path(g, k)  # noqa: E731
-    else:
-        contains = lambda g: contains_berge_cycle(g, k, mode)  # noqa: E731
+    contains = _full_detector(k, mode)
     pool = list(itertools.combinations(range(n), r)) * 2
     rng.shuffle(pool)
     edges = []
@@ -386,6 +391,20 @@ def _random_free(rng, n, r, k, mode):
     return build(n, r, edges)
 
 
+def _detector_or_none(h, k, mode, pair_orbits, cap):
+    """The detector for h, or a test that answers "no" where it returns
+    None, which it must do exactly when k > cap; the full detector must
+    then find every candidate free."""
+    test = new_edge_detector(h, k, mode, pair_orbits)
+    assert (test is None) == (k > cap), (h, k, mode)
+    if test is not None:
+        return test
+    contains = _full_detector(k, mode)
+    assert not any(contains(h.with_edge(e))
+                   for e in itertools.combinations(range(h.n), h.r)), (h, k, mode)
+    return lambda e: False
+
+
 def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
     """On a parent free of the configuration, the detector given the
     trivial pair orbits walks each anchor pair at most once over all
@@ -393,7 +412,9 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
     Aut(parent) (by brute force, n <= 6) it walks each orbit at most
     once, builds them once and only where it can walk, and walks fewer
     pairs in all.  Either way it answers as the OR of unmemoized walks
-    anchored at each pair of the edge."""
+    anchored at each pair of the edge.  Where no configuration fits in
+    the parent plus one instance (k above the cap) there is no detector
+    (None) and every candidate is free."""
     from math import comb
 
     from bergeturan import berge
@@ -426,7 +447,7 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
                 for pair in itertools.combinations(e, 2))
             seen[expect[e]] += 1
         anchors.clear()
-        test = berge.new_edge_detector(h, k, mode, _each_pair(n))
+        test = _detector_or_none(h, k, mode, _each_pair(n), cap)
         for e, want in expect.items():
             assert test(e) == want, (h, k, mode, e)
         assert len(set(anchors)) == len(anchors) <= comb(n, 2), (h, k, mode)
@@ -437,7 +458,7 @@ def test_new_edge_detector_walks_each_pair_at_most_once(monkeypatch):
         orbit = _pair_orbit_ids(h)
         built = []
         anchors.clear()
-        test = berge.new_edge_detector(h, k, mode, lambda: built.append(1) or orbit)
+        test = _detector_or_none(h, k, mode, lambda: built.append(1) or orbit, cap)
         assert len(built) == (k <= cap), (h, k, mode)
         for e, want in expect.items():
             assert test(e) == want, (h, k, mode, e)
@@ -456,8 +477,9 @@ def test_new_edge_detector_answers_in_any_order_as_unmemoized_walks():
     multi-hypergraphs, for paths and both cycle modes, every candidate
     asked in each of several shuffled orders, with the trivial pair
     orbits and (n <= 6) those of Aut(h), is answered as the OR of
-    unmemoized walks anchored at its pairs; and the witnesses answer
-    enough pairs to save walks."""
+    unmemoized walks anchored at its pairs, or, where k is above the cap
+    and there is no detector, is free; and the witnesses answer enough
+    pairs to save walks."""
     from bergeturan import berge
 
     walk = berge._walk
@@ -497,7 +519,7 @@ def test_new_edge_detector_answers_in_any_order_as_unmemoized_walks():
                 walked.clear()
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(berge, "_walk", counting_walk)
-                    test = berge.new_edge_detector(h, k, mode, pair_orbits)
+                    test = _detector_or_none(h, k, mode, pair_orbits, cap)
                     for e in order:
                         assert test(e) == expect[e], (h, k, mode, e, order)
                 hits_seen["all"] += sum(hits.values()) if k <= cap else 0

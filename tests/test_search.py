@@ -74,32 +74,40 @@ def test_child_violates_matches_full_detector():
     """The anchored test the level search calls for each parent,
     ``new_edge_detector`` in the spec's cycle mode, agrees with the full
     detector on every candidate edge of random family-free parents,
-    including edges the parent already holds."""
+    including edges the parent already holds.  It is None exactly when k
+    exceeds the cap for the parent plus one instance, and then the full
+    detector finds every candidate free."""
     import itertools
     import random
 
     import bergeturan.search as search
-    from bergeturan.berge import new_edge_detector
+    from bergeturan.berge import _bounds, new_edge_detector
 
     rng = random.Random(23)
     seen = {True: 0, False: 0}
-    repeated = 0
+    repeated = none = 0
     for _ in range(300):
         n = rng.randint(3, 8)
         r = rng.randint(2, min(4, n))
         spec = FamilySpec(rng.choice(("bp", "bc_exact", "bc_at_least")),
                           rng.randint(2, 6), rng.choice((1, 2)))
         parent = _random_free_parent(rng, n, r, spec)
+        mode = search._CYCLE_MODES[spec.kind]
         # The trivial group's pair orbits: each pair is its own.
         test = new_edge_detector(
-            parent, spec.k, search._CYCLE_MODES[spec.kind],
+            parent, spec.k, mode,
             lambda: {p: p for p in itertools.combinations(range(n), 2)})
+        cap = _bounds(spec.k, mode, len(parent.edges) + 1, n)[2]
+        assert (test is None) == (spec.k > cap), (spec, parent.edges)
+        none += test is None
         for e in itertools.combinations(range(n), r):
             expect = spec.violates(parent.with_edge(e))
-            assert test(e) == expect, (spec, parent.edges, e)
+            assert (False if test is None else test(e)) == expect, (
+                spec, parent.edges, e)
             seen[expect] += 1
             repeated += e in parent.edges
-    assert min(seen.values()) > 500 and repeated > 500, (seen, repeated)
+    assert min(seen.values()) > 500 and repeated > 500 and none > 20, (
+        seen, repeated, none)
 
 
 def _automorphisms(h):
@@ -194,6 +202,8 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
     Every kept parent's free orbits are searched; a parent that skips
     that search has no free candidate or is pruned, and for r = 2 the
     free pairs of such a parent are checked against its pair orbits.
+    A parent with no detector (no configuration fits in it plus one
+    instance) tests no candidate, and every candidate is free.
     ``skipped`` counts the detector tests and canonicalizations that an
     earlier child stands in for, and ``merges`` the twin-orbit codes the
     generators merge, of pairs and of free candidates.  Every carried
@@ -225,7 +235,7 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
     building = []  # non-empty while the detector builds the pair orbits
 
     def record_detector(h, k, mode, pair_orbits):
-        entry = {"tested": [], "pairs": None, "free": None}
+        entry = {"tested": [], "pairs": None, "free": None, "none": False}
         expanded.append(entry)
 
         def record_pairs():
@@ -236,6 +246,9 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
             return ids
 
         violates_with = detector(h, k, mode, record_pairs)
+        if violates_with is None:
+            entry["none"] = True
+            return None
 
         def record_test(e):
             entry["tested"].append(e)
@@ -289,18 +302,24 @@ def test_every_child_of_an_orbit_has_its_first_childs_key(
         allowed = [e for e in itertools.combinations(range(n), r)
                    if parent.multiplicity(e) < spec.multiplicity_cap]
         free = [e for e in allowed if not spec.violates(parent.with_edge(e))]
-        # Every child shares the verdict of the first child of its
-        # twin-orbit code, which alone meets the detector.
-        verdict = {}
-        tested = []
-        for e in allowed:
-            code = sum(pw[v] for v in e)
-            if code in verdict:
-                skipped += 1
-            else:
-                tested.append(e)
-            assert verdict.setdefault(code, e in free) == (e in free), (parent, e)
-        assert entry["tested"] == tested, parent
+        if entry["none"]:
+            # No configuration fits: every candidate is free, and none
+            # meets a detector.
+            assert free == allowed and not entry["tested"], parent
+        else:
+            # Every child shares the verdict of the first child of its
+            # twin-orbit code, which alone meets the detector.
+            verdict = {}
+            tested = []
+            for e in allowed:
+                code = sum(pw[v] for v in e)
+                if code in verdict:
+                    skipped += 1
+                else:
+                    tested.append(e)
+                assert verdict.setdefault(code, e in free) == (e in free), (
+                    parent, e)
+            assert entry["tested"] == tested, parent
         # Every kept parent's free orbits are searched: one that skips the
         # search has no free candidate or is pruned.
         closure = Hypergraph(n, r, parent.edges + tuple(free))
@@ -361,6 +380,79 @@ def test_pair_orbits_are_built_only_where_the_detector_walks(monkeypatch):
     assert calls["detectors"] > 100 and calls["built"] == 0, calls
     enumerate_connected_free(6, 2, FamilySpec("bp", 5))
     assert calls["built"] > 20, calls
+
+
+def test_a_parent_with_every_candidate_free_reaches_a_connected_closure():
+    """The level search skips the reachability check of a parent that
+    rejects no candidate: its closure, the parent plus every candidate
+    below the multiplicity cap, is the complete r-graph, since each other
+    r-set is a parent edge at the cap.  On random free parents, for paths
+    and both cycle modes, m = 1 and 2 and r = 2..4, whenever the full
+    detector finds every such candidate free, that closure is connected
+    and spanning."""
+    import itertools
+    import random
+
+    from bergeturan.hypergraph import Hypergraph
+
+    rng = random.Random(31)
+    all_free = {kind: 0 for kind in ("bp", "bc_exact", "bc_at_least")}
+    for _ in range(400):
+        n = rng.randint(4, 7)
+        r = rng.randint(2, min(4, n))
+        spec = FamilySpec(rng.choice(tuple(all_free)), rng.randint(2, 6),
+                          rng.choice((1, 2)))
+        parent = _random_free_parent(rng, n, r, spec)
+        allowed = tuple(e for e in itertools.combinations(range(n), r)
+                        if parent.multiplicity(e) < spec.multiplicity_cap)
+        if any(spec.violates(parent.with_edge(e)) for e in allowed):
+            continue
+        all_free[spec.kind] += 1
+        assert is_connected(Hypergraph(n, r, parent.edges + allowed)), (
+            spec, parent.edges)
+    assert min(all_free.values()) > 20, all_free
+
+
+@pytest.mark.parametrize("n, r, k, checks, prunes, no_detector, parents", [
+    (7, 2, 7, 0, 0, 1044, 1044),
+    (10, 3, 4, 51, 23, 5, 71),
+    (10, 5, 5, 0, 0, 35, 359),
+    (11, 4, 4, 29, 20, 6, 50),
+    (8, 2, 6, 496, 97, 20, 654),
+])
+def test_reachability_checks_run_only_where_a_candidate_is_rejected(
+        monkeypatch, n, r, k, checks, prunes, no_detector, parents):
+    """A parent where no Berge path of length k fits in it plus one
+    instance gets no detector (None) and tests no candidate, and only a
+    parent that rejects some candidate builds its closure and checks that
+    it connects.  The prunes are those of the search that checked every
+    parent with a free candidate; that search made 1,043, 57, 35, 35 and
+    644 checks at these points: the 7-vertex graph population and
+    (10,3,BP4), (10,5,BP5), (11,4,BP4) and (8,2,BP6)."""
+    import bergeturan.search as search
+
+    detector, connected = search.new_edge_detector, search.is_connected
+    calls = {"detectors": 0, "none": 0, "checks": 0, "prunes": 0}
+
+    def counting_detector(*args):
+        test = detector(*args)
+        calls["detectors"] += 1
+        calls["none"] += test is None
+        return test
+
+    def counting_connected(h):
+        calls["checks"] += 1
+        ok = connected(h)
+        calls["prunes"] += not ok
+        return ok
+
+    monkeypatch.setattr(search, "new_edge_detector", counting_detector)
+    # In the level search, is_connected only tests a parent's closure.
+    monkeypatch.setattr(search, "is_connected", counting_connected)
+    for _ in search._levels(n, r, FamilySpec("bp", k)):
+        pass
+    assert calls == {"detectors": parents, "none": no_detector,
+                     "checks": checks, "prunes": prunes}, calls
 
 
 def test_one_orbit_memo_serves_pairs_and_free_candidates(monkeypatch):
