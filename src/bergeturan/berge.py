@@ -23,18 +23,9 @@ before it returns: reference counting then frees the walk's state at
 once, and none of it is left to the cyclic garbage collector.
 
 The unanchored queries also skip interchangeable vertices
-(``hypergraph.interchangeable_classes``: swapping two of them maps the
-edge multiset onto itself), which keeps cliques, hubs and stars fast.
-The walk tries one vertex of each class as a start, and one as the
-first step from a start; those are the depths where no slot is matched
-yet.  There a swap of the tried vertex and a skipped one maps the
-skipped branch onto the tried one, or onto a part of it, which reached
-no new depth and closed no cycle.  A skipped cycle start stays marked
-used, as a walked one does, so later cycles avoid it.  Deeper, the
-matcher's state depends on the order of earlier branches, since a pop
-does not undo the reassignments an augmentation made; a skip there
-could change which instances a witness uses, so the walk stops
-skipping at the first slot.
+(``hypergraph.interchangeable_classes``), which keeps cliques, hubs and
+stars fast; ``_walk`` says where it skips and why its results are those
+of the full walk.
 
 The unanchored queries first compare k with a degree cap.  Let D2 be
 the number of vertices in at least two instances and D1 the number in
@@ -46,34 +37,15 @@ D2 + min(2, D1).  A query for a longer k answers "no" with no index,
 classes or walk, as the walk would.  A longest path walk stops once a
 path reaches the path cap: up to then it takes the uncapped walk's
 steps, and that walk records no longer path afterwards, so the witness
-is the same.  The cycle
-walk's ``most`` in "at_least" mode is not capped: a smaller ``most``
-cuts growth, which changes the matcher's history and so could change
-later witness instances.  The anchored detector uses no degree cap.
+is the same.  The cycle walk's ``most`` in "at_least" mode is not
+capped: a smaller ``most`` cuts growth, which changes the matcher's
+history and so could change later witness instances.  The anchored
+detector uses no degree cap.
 
-``new_edge_detector`` serves a search that grows a hypergraph h one
-instance at a time.  Its precondition is that h is free of the
-configuration sought.  Then h plus one more instance of an edge e
-contains one exactly when some witness uses the added instance, so the
-same walk is anchored there: it starts at a pair of e whose slot holds
-only that instance and runs over the index of h, which is built once
-for all candidate edges.  Since every slot after the first holds
-instances of h, the answer for an anchor pair does not depend on the
-rest of e, and a candidate's answer is the OR over its pairs.  An
-automorphism of h maps the walks anchored at a pair onto those anchored
-at its image, so given the orbits of vertex pairs under a group of
-automorphisms of h (the search passes those of its known generators),
-each orbit is walked at most once per h: one walk per pair orbit.
-A witness found by one walk also answers other pairs.  Let it hold the
-added instance at the slot of a, b, and let X (Y) be the vertices off
-the witness in the instance before a (after b), read cyclically in a
-cycle; at a path end, X (Y) is every vertex off the witness.  Then for
-x in X + {a} and y in Y + {b} with x != y, replacing a by x and b by y
-gives a Berge path or cycle of the same length whose added instance sits
-at x, y: the instances on either side still hold the new neighbours,
-and no vertex repeats.  So every such pair's orbit is answered "yes"
-without a walk, and a candidate with a pair already answered "yes" is
-answered before any of its unknown pairs is walked.
+``new_edge_detector`` serves a search that grows a hypergraph one
+instance at a time.  It anchors the same walk at the added instance;
+its docstring says why that is exact, why one walk answers a whole orbit
+of vertex pairs, and which further pairs a witness proves.
 
 All functions are pure and deterministic.  Because sequences are
 visited in lexicographic order, a path witness has the lexicographically
@@ -204,9 +176,6 @@ class _PairMatcher:
                 return True
         return False
 
-    def assignment(self) -> tuple[int, ...]:
-        return tuple(self.match)
-
 
 def _class_firsts(vertices: Iterable[int], classes: Sequence[int]) -> list[int]:
     """The first of ``vertices`` in each of their classes, in their order."""
@@ -257,8 +226,9 @@ def _walk(
     instances included.  A skipped cycle start is still marked used, as
     a walked one is; left unused, a later walk could pass through it and
     its augmentations could move an earlier slot's instance.  Deeper,
-    the matcher holds the reassignments of earlier augmentations, so a
-    skip there could change a witness's instances, and none is made.
+    the matcher holds the reassignments of earlier augmentations, which
+    a pop does not undo, so it depends on the order of earlier branches;
+    a skip there could change a witness's instances, and none is made.
     """
     if classes is None:  # every vertex its own class: nothing is skipped
         classes = range(len(index))
@@ -278,7 +248,7 @@ def _walk(
             if size >= close_from:
                 insts = index[last].get(seq[0])
                 if insts and matcher.push(insts):
-                    found = (tuple(seq), matcher.assignment())
+                    found = (tuple(seq), tuple(matcher.match))
                     return True
             if size == most:
                 return False
@@ -286,8 +256,8 @@ def _walk(
             reach = size
             # While the left end grows the sequence is reversed, and so
             # is the order of the first ``split`` slots in it.
-            insts = matcher.assignment()
-            found = (tuple(seq), insts[:split][::-1] + insts[split:])
+            insts = matcher.match
+            found = (tuple(seq), tuple(insts[:split][::-1] + insts[split:]))
             if size > most:
                 return True
         if grow_left and not split:
@@ -380,11 +350,7 @@ def _contains(
 ) -> bool | tuple[bool, BergeWitness | None]:
     """The decision behind both public queries; ``mode`` as in ``_bounds``.
 
-    After ``_bounds`` has validated the query, a k above the degree cap
-    is answered "no" with no walk: no path or cycle that long exists.
-    The walk's ``most`` is that of ``_bounds``, uncapped, so the
-    matcher's history and every witness's instances stay those of the
-    full walk.
+    A k above the degree cap of the module docstring gets "no" with no walk.
     """
     most, close_from, cap = _bounds(k, mode, len(h.edges), h.n)
     witness = None
@@ -413,12 +379,8 @@ def longest_berge_path(h: Hypergraph) -> tuple[int, BergeWitness | None]:
     """Length of a longest Berge path together with one witness.
 
     The empty hypergraph yields (0, None).  The witness is the first one
-    found in ascending vertex order at the maximal length.
-
-    The walk stops as soon as a path reaches the degree cap, since no
-    longer one exists.  Up to that moment it has taken the steps of the
-    walk without the cap, which would record that same path and never
-    replace it, so the witness is the same.
+    found in ascending vertex order at the maximal length.  The walk
+    stops at the degree cap of the module docstring.
     """
     most = min(_bounds(None, None, len(h.edges), h.n)[0], _degree_cap(h, False))
     found = _walk(_pair_index(h), most, classes=interchangeable_classes(h))
@@ -467,18 +429,21 @@ def new_edge_detector(
     walk at all.  Each orbit is walked at most once per call, on its
     first lookup: one walk per pair orbit for all candidates of h.
 
-    A witness also proves every pair it can be moved onto: with a, b the
-    ends of the added instance's slot, a may become any vertex off the
-    witness that the instance before a holds, b any such vertex of the
-    instance after b (cyclically in a cycle), and an end of a path any
-    vertex off the witness; the result is a witness of the same length
-    through the added instance.  Each walk that finds a witness marks
-    all those pairs' orbits "yes" (never overwriting a walked answer), so
-    the map must cover every pair, not only those of candidates.  Before
-    walking a candidate's first unknown pair, the detector answers "yes"
-    if any of its pairs is already known to.  Only the walks made depend
-    on the order candidates are asked in; the answers do not.  On an h
-    that breaks the precondition the answers mean nothing.
+    A witness also proves every pair it can be moved onto.  Let it hold
+    the added instance at the slot of a, b, and let X (Y) be the vertices
+    off the witness in the instance before a (after b), read cyclically
+    in a cycle; at a path end, X (Y) is every vertex off the witness.
+    Then for x in X + {a} and y in Y + {b} with x != y, replacing a by x
+    and b by y gives a witness of the same length through the added
+    instance: the instances on either side still hold the new
+    neighbours, and no vertex repeats.  Each walk that finds a witness
+    marks all those pairs' orbits "yes" (never overwriting a walked
+    answer), so the map must cover every pair, not only those of
+    candidates.  Before walking a candidate's first unknown pair, the
+    detector answers "yes" if any of its pairs is already known to.  Only
+    the walks made depend on the order candidates are asked in; the
+    answers do not.  On an h that breaks the precondition the answers
+    mean nothing.
     """
     inst = len(h.edges)
     most, close_from, cap = _bounds(k, cycle_mode, inst + 1, h.n)
@@ -489,10 +454,7 @@ def new_edge_detector(
     answers: dict = {}  # pair orbit id -> its answer
 
     def prove(vertices: tuple[int, ...], insts: tuple[int, ...]) -> None:
-        """Mark every pair the witness proves: the ends a, b of the added
-        instance's slot may move to any vertex off the witness that the
-        instance on their side holds, or at a path end to any such
-        vertex."""
+        """Mark the orbit of every pair x, y the witness proves, as above."""
         size = len(insts)
         j = insts.index(inst)
         off = [v for v in range(h.n) if v not in vertices]

@@ -213,6 +213,8 @@ def from_text(text: str) -> Hypergraph:
             )
         if any(v < 0 or v >= n for v in values):
             raise HypergraphError(f"line {lineno}: vertex id out of range 0..{n - 1}")
+        if len(set(values)) != r:
+            raise HypergraphError(f"line {lineno}: vertex ids must be distinct")
         edges.append(values)
     if header is None:
         raise HypergraphError("empty input: missing 'n r' header")

@@ -6,48 +6,39 @@ labeled representative per isomorphism class; children are generated by
 adding every still-admissible instance to every representative and
 deduplicating on canonical form.  Freeness of the forbidden family is
 hereditary downward, so a violating child prunes its whole subtree.
-Every parent expanded is therefore family-free, so a child violates
-exactly when a forbidden configuration runs through its new instance;
-``berge.new_edge_detector`` tests only those, over one pair index per
-parent, instead of running the full detector on every child.  Such a
-configuration starts at a vertex pair of the new edge and continues in
-the parent alone, so the answer for a pair is the same for every
-candidate edge containing it, and for every pair on its orbit under the
-parent's automorphisms: each parent needs at most one walk per orbit of
-vertex pairs, and a candidate's test ORs its pairs.
+Every parent expanded is therefore family-free, the precondition under
+which ``berge.new_edge_detector``, built once per parent, tests exactly
+whether a child holds a forbidden configuration through its new
+instance.  Where no forbidden configuration fits in the parent plus one
+instance, the detector is None and every candidate is feasible with no
+test.
 
 Symmetry has one source: the generators that ``canonical_form`` finds,
 together with the swaps of twins (vertices with equal incidence lists),
 which generate the whole automorphism group.  Automorphisms pass between
 levels in both directions (McKay, "Isomorph-free exhaustive generation",
 1998).  Each representative carries the generators known from its own
-canonicalization, conjugated into its canonical labeling.  As a parent,
-its candidate edges with the same sorted tuple of twin ids (the same
+canonicalization, conjugated into its canonical labeling, and they seed
+its children's canonical searches (``_admit``).  As a parent, its
+candidate edges with the same sorted tuple of twin ids (the same
 twin-orbit code) form one orbit of the twin swaps, whose children are
-isomorphic, so only the first child of each code is tested; the others
-share its verdict.  The detector walks one pair of each orbit of vertex
-pairs under the twin swaps and the generators, so one walk answers every
-pair of that orbit.  Then the generators merge the codes of the free
+isomorphic, so only the first child of each code in candidate order is
+tested; the others share its verdict.  The detector gets the orbits of
+vertex pairs under the twin swaps and the generators, and walks at most
+one pair of each.  It builds them only if it walks, and over every
+pair, those at the multiplicity cap too, since a witness it finds can
+prove any pair.  Then the generators merge the codes of the free
 candidates, which form a union of orbits, into the orbits of the
 parent's automorphism group, and only the first child of each such
 orbit is canonicalized; the others share its key.  Both orbit searches
 of a parent fill one memo of twin-orbit codes, so no code is searched
-twice (``_candidate_orbits`` says why that is exact).  That child's
-canonical search starts from the parent's generators that map the new
-edge onto itself, which prune its search tree from the root, and the
-child carries them on with the ones it finds.  Representatives resumed
-from a checkpoint get their generators from one canonicalization each,
-so a resumed level has the same orbits as in a fresh run.  Every
-candidate is still built and counted as tested, and every feasible one
-joins the reachability closure below.  Where no forbidden configuration
-fits in the parent plus one instance, the detector is None and every
-candidate is feasible with no test.
+twice (``_candidate_orbits`` says why that is exact).  Every candidate
+is still built and counted as tested, and every feasible one joins the
+reachability closure below.
 
 Before that child is canonicalized it must pass McKay's cheap deletion
 test: no edge of the child may have a strictly larger invariant than the
-new edge, an edge's invariant being its vertices' degrees in descending
-order, then its multiplicity, then, to break ties, its vertices' values
-after up to two rounds of refinement (``_passes_deletion_test``).  Any
+new edge (``_passes_deletion_test`` defines the invariant).  Any
 invariant of the pair (child, edge) serves, and the finer it is, the
 fewer children of one class pass.  A child that fails is skipped.  Its
 class is still found if the level holds every free class and expands all
@@ -57,9 +48,9 @@ orbit of m's image is isomorphic to the skipped child and passes.  The
 next level then holds every free class too.  So a level first expands
 every parent and applies the prune below, then canonicalizes the kept
 parents' first children, testing them only while no parent has been
-pruned since the root of a fresh run; a run resumed from a checkpoint
-never tests.  Levels, keys and counts are those of the search without
-the test.
+pruned since the root of a fresh run, this level's expand pass
+included; a run resumed from a checkpoint never tests.  Levels, keys
+and counts are those of the search without the test.
 
 Connectivity is NOT hereditary and is therefore only evaluated, never
 used to prune directly; instead a reachability-potential prune discards
@@ -192,44 +183,15 @@ def _levels(
     tested_so_far) to resume a run at their instance count (0 if there
     are none, which yields only the final tuple).  Each of its
     representatives is canonicalized once, which gives its key and its
-    generators, and it is yielded with those keys like every other level,
-    so a caller can check that a resumed level lists canonical forms in
-    ascending key order before anything is expanded.  It searches every
-    point, even one where every multiset is free (``exact_ex_conn``
-    answers those without it).  Every parent expanded is free of the
-    forbidden family, so ``berge.new_edge_detector``, built once per
-    parent, tests its candidates exactly; where it is None, no forbidden
-    configuration fits in the parent plus one instance, and every
-    candidate is free with no test.  Of each twin-orbit code, only
-    the first child in candidate order is tested, and the detector walks
-    at most one pair per orbit of vertex pairs under the swaps of the
-    parent's twins and its carried generators; it builds those pair
-    orbits only if it walks, over every pair (those at the multiplicity
-    cap too), since a witness it finds can prove any pair.  Of each
-    orbit of free candidates under the same group, only the first child
-    is canonicalized, seeded with the generators that fix its new edge;
-    both orbit searches share the parent's memo of twin-orbit codes.
-    Every candidate is still counted in ``tested``.  A parent's
-    twin-orbit codes for all candidates come from one pass over the
-    combinations of its twin weights, in candidate order, and the edges
-    at the multiplicity cap are dropped from the candidates and the
-    codes together.  One pass over the parent's
-    incidences gives its twin classes and, if it is kept, its vertex
-    weights for the deletion test.
-    Each level takes two passes: the expand pass tests every parent's
-    candidates and applies the reachability prune, to a parent that
-    rejects some candidate only (with none rejected, its closure is the
-    complete r-graph, which connects and spans), and the admit pass
-    canonicalizes the first children of the kept parents.  A first child
-    that fails ``_passes_deletion_test`` is skipped while no parent has
-    been pruned in a fresh run, this level's expand pass included:
-    another parent's child in its class passes.  Its invariant refines
-    the child's vertex values to break ties, so few of the children it
-    lets through are in a class the level already holds.  The time
-    budget is checked before each parent of either pass, and the node
-    budget after each parent of the expand pass, so both hold inside a
-    level and the search stops at most one parent's candidates past the
-    node budget.
+    generators, so a resumed level has the same orbits as in a fresh
+    run; it is yielded with those keys like every other level, so a
+    caller can check that a resumed level lists canonical forms in
+    ascending key order before anything is expanded.  The time budget
+    is checked before each parent of either pass, and the node budget
+    after each parent of the expand pass, so both hold inside a level
+    and the search stops at most one parent's candidates past the node
+    budget.  The module docstring gives the rules that each level
+    applies.
     """
     candidates = list(itertools.combinations(range(n), r))
     position = {e: i for i, e in enumerate(candidates)}
@@ -404,10 +366,10 @@ def _admit(
 
     The parent's generators ``gens`` that map e onto itself are
     automorphisms of the child.  They seed the canonical search, which
-    adds the ones it finds, and a new class carries all of them into its
-    canonical labeling.  The child is built directly, not by
-    ``with_edge``: the traced benchmark counts tested children by those
-    calls.
+    they prune from its root, and which adds the ones it finds; a new
+    class carries all of them into its canonical labeling.  The child is
+    built directly, not by ``with_edge``: the traced benchmark counts
+    tested children by those calls.
     """
     child = Hypergraph(parent.n, parent.r, tuple(sorted(parent.edges + (e,))))
     seeds = [g for g in gens if sorted([g[v] for v in e]) == list(e)]
@@ -507,10 +469,9 @@ def _check_limits(n: int, r: int, spec: FamilySpec, force: bool) -> None:
     if n > CANONICAL_N_LIMIT:
         raise SearchLimitError(
             f"exact canonicalization is limited to n <= {CANONICAL_N_LIMIT}")
-    if not force and n > default_n_limit(r, spec.multiplicity_cap):
+    if not force and n > (limit := default_n_limit(r, spec.multiplicity_cap)):
         raise SearchLimitError(
-            f"n={n} exceeds the default search limit "
-            f"{default_n_limit(r, spec.multiplicity_cap)} for r={r}, "
+            f"n={n} exceeds the default search limit {limit} for r={r}, "
             f"m={spec.multiplicity_cap}; pass force=True to override"
         )
 
@@ -756,8 +717,8 @@ def _sparse_preconditions(
         return "hypergraph is not connected/spanning", 0, None
     if h.n <= h.r:
         return f"degenerate size n={h.n} <= r={h.r}", 0, None
-    if h.max_multiplicity() > m:
-        return f"multiplicity {h.max_multiplicity()} exceeds cap m={m}", 0, None
+    if (mult := h.max_multiplicity()) > m:
+        return f"multiplicity {mult} exceeds cap m={m}", 0, None
     t, witness = longest_berge_path(h)
     if t > h.r - 1:
         return f"longest Berge path length t={t} exceeds r-1={h.r - 1}", t, witness
@@ -766,21 +727,23 @@ def _sparse_preconditions(
     return "", t, witness
 
 
-def _satisfies(h: Hypergraph, m: int, t: int, subset: tuple[int, ...]) -> str | None:
-    """Which case the subset satisfies, or None."""
+def _satisfies(
+    h: Hypergraph, m: int, t: int, subset: tuple[int, ...]
+) -> tuple[str | None, int]:
+    """Which case the subset satisfies, or None, and its neighborhood size."""
     size = len(subset)
     ns = len(hyperedge_neighborhood(h, subset))
     if size >= 2 * h.r - 2 and ns <= m + 1:
-        return CASE_SMALL
+        return CASE_SMALL, ns
     if size >= 2 * h.r - 1 and ns <= t:
-        return CASE_LARGE
-    return None
+        return CASE_LARGE, ns
+    return None, ns
 
 
-def _witness_report(h: Hypergraph, t: int, subset: tuple[int, ...],
-                    case: str) -> SparseSetReport:
+def _witness_report(h: Hypergraph, t: int, case: str, subset: tuple[int, ...],
+                    ns: int) -> SparseSetReport:
     return SparseSetReport(
-        "witness_found", subset, case, len(hyperedge_neighborhood(h, subset)), t,
+        "witness_found", subset, case, ns, t,
         exact_size_match=(case == CASE_SMALL and len(subset) == 2 * h.r - 2),
     )
 
@@ -810,13 +773,13 @@ def sparse_set_check(h: Hypergraph, m: int = 1) -> SparseSetReport:
         return SparseSetReport("precondition_violated", t=t, reason=reason)
     large = None
     for subset in all_vertex_subsets(h.n, min_size=2 * h.r - 2):
-        case = _satisfies(h, m, t, subset)
+        case, ns = _satisfies(h, m, t, subset)
         if case == CASE_SMALL:
-            return _witness_report(h, t, subset, case)
+            return _witness_report(h, t, case, subset, ns)
         if case == CASE_LARGE and large is None:
-            large = subset
+            large = subset, ns
     if large is not None:
-        return _witness_report(h, t, large, CASE_LARGE)
+        return _witness_report(h, t, CASE_LARGE, *large)
     return SparseSetReport("counterexample", t=t,
                            reason="no qualifying subset exists")
 
@@ -854,13 +817,13 @@ def sparse_set_constructive(h: Hypergraph, m: int = 1) -> SparseSetReport:
     else:
         subset = _recursive_set(w, esets, t)
 
-    case = _satisfies(h, m, t, subset)
+    case, ns = _satisfies(h, m, t, subset)
     if case is None:
         return SparseSetReport(
-            "counterexample", subset, None, len(hyperedge_neighborhood(h, subset)), t,
+            "counterexample", subset, None, ns, t,
             reason="constructive set violates the neighborhood bound",
         )
-    return _witness_report(h, t, subset, case)
+    return _witness_report(h, t, case, subset, ns)
 
 
 def _end_edges_set(w, esets, t, d1, d2) -> tuple[int, ...]:

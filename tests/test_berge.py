@@ -166,6 +166,18 @@ def test_verify_witness_rejects_repeated_vertices_and_bad_pairs():
     assert not verify_witness(h, BergeWitness("path", (0, 1, 4), (0, 1)))
 
 
+@pytest.mark.parametrize("witness", [
+    BergeWitness("path", (0, 2, 5), (0, 1)),  # a vertex outside 0..n-1
+    BergeWitness("path", (0, 2), (0, 1)),  # a path needs k + 1 vertices
+    BergeWitness("cycle", (0, 1, 2), (0, 1)),  # a cycle needs k vertices
+    BergeWitness("loop", (0, 2, 3), (0, 1)),  # an unknown kind
+])
+def test_verify_witness_rejects_a_malformed_witness(witness):
+    h = build(5, 3, [[0, 1, 2], [2, 3, 4]])
+    assert verify_witness(h, BergeWitness("path", (0, 2, 3), (0, 1)))
+    assert not verify_witness(h, witness)
+
+
 # -- paths -------------------------------------------------------------
 
 def test_single_edge_path_lengths():

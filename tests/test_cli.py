@@ -96,6 +96,18 @@ def test_check_finds_witness(capsys, tmp_path):
     assert rep["witness"]["kind"] == "cycle"
 
 
+def test_check_reads_a_json_file_as_the_text_file(capsys, tmp_path):
+    text, js = tmp_path / "star.txt", tmp_path / "star.json"
+    run(capsys, "construct", "star", "7", "3", "--out", str(text))
+    run(capsys, "construct", "star", "7", "3", "--format", "json", "--out", str(js))
+    reports = [run(capsys, "check", str(path), "--bp", "2") for path in (text, js)]
+    assert reports[0] == reports[1]
+    code, out, _ = reports[1]
+    assert code == 0
+    assert json.loads(out)["witness"] == {
+        "kind": "path", "vertices": [1, 0, 3], "edge_instances": [0, 1]}
+
+
 def test_check_longest_mode(capsys, tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("6 3\n0 1 2\n0 1 3\n0 1 4\n0 1 5\n")
@@ -280,6 +292,10 @@ def test_bad_n_range_exits_2(capsys):
     code, _, err = run(capsys, "table", "--k", "3", "--r", "3",
                        "--n-range", "oops")
     assert code == 2
+    code, out, err = run(capsys, "table", "--k", "3", "--r", "3",
+                         "--n-range", "9..3")
+    assert (code, out) == (2, "")
+    assert "empty --n-range" in err
 
 
 @pytest.mark.parametrize("argv", [

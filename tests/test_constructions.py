@@ -140,6 +140,37 @@ def test_hub_rejects_r_divides_n():
         hub_family(16, 5, 4)  # k < 5
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (bp3_free_family, (9, 2, "star"), "bp3 families need r >= 3"),
+    (bp3_free_family, (9, 3, "ring"), "unknown bp3 variant 'ring'"),
+    (bp4_free_family, (10, 4, "ring"), "unknown bp4 variant 'ring'"),
+    (hub_family, (4, 5, 5), "need n >= r+1, got n=4"),
+    (multi_family, (3, 4, 3, "star"), "need n >= r, got n=3"),
+    (multi_family, (9, 4, 3, "ring"), "unknown multi variant 'ring'"),
+    (make_family, ("ring", 7, 3), "unknown family 'ring'; known: "),
+])
+def test_builders_refuse_parameters_outside_their_range(build, args, message):
+    with pytest.raises(FamilyParamError) as exc:
+        build(*args)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("edges, n, failure", [
+    # Hypergraph() takes the edges as given, so one can have r + 1 vertices.
+    (((0, 1, 2), (0, 3, 4), (0, 1, 5, 6)), 7, "output is not r-uniform"),
+    (((0, 1, 2), (0, 3, 4), (0, 5, 6)), 8, "vertex count 7 != 8"),
+    (((0, 1, 2), (0, 1, 6), (3, 4, 5)), 7, "output is not connected/spanning"),
+    (((0, 1, 2), (0, 1, 2), (0, 3, 4), (0, 5, 6)), 7, "edge count 4 != closed form 3"),
+])
+def test_verify_names_each_broken_contract(edges, n, failure):
+    from bergeturan.hypergraph import Hypergraph
+
+    # Every member is checked against star (7, 3): 3 edges on 7 vertices.
+    check = verify_family_output("star", Hypergraph(7, 3, edges), n, 3,
+                                 check_bp_free=False)
+    assert check.failures == [failure]
+
+
 def test_verify_without_required_k_raises_param_error():
     h = hub_family(16, 5, 5)
     with pytest.raises(FamilyParamError):

@@ -207,6 +207,8 @@ def test_bc_selector_ranges():
         bc_value("glsz_eq", 9, 4, 3)
     with pytest.raises(FormulaRangeError):
         bc_value("egmstz", 9, 4, 4)
+    with pytest.raises(FormulaRangeError, match="unknown bc selector 'ring'"):
+        bc_value("ring", 9, 4, 4)
 
 
 def test_uniformity_below_two_is_out_of_range():

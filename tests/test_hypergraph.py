@@ -64,6 +64,8 @@ def test_build_rejects_bad_ids_and_uniformity():
         build(4, 3, [[0, 1, 4]])
     with pytest.raises(HypergraphError):
         build(4, 1, [[0]])
+    with pytest.raises(HypergraphError, match="vertex count must be >= 0, got -1"):
+        build(-1, 3, [])
 
 
 def test_build_errors_show_an_edge_given_as_an_iterator():
@@ -181,6 +183,12 @@ def test_induced_preserves_uniformity_and_multiplicity():
     h = build(5, 3, [[0, 1, 2], [0, 1, 2], [2, 3, 4]])
     sub, _ = induced_subhypergraph(h, [0, 1, 2])
     assert sub.edges == ((0, 1, 2), (0, 1, 2))
+
+
+@pytest.mark.parametrize("w", [[0, 5], [-1, 2]])
+def test_induced_refuses_vertices_out_of_range(w):
+    with pytest.raises(HypergraphError, match="induced vertex set out of range"):
+        induced_subhypergraph(build(5, 3, [[0, 1, 2]]), w)
 
 
 # -- canonical forms --------------------------------------------------
@@ -672,6 +680,14 @@ def test_text_errors_carry_line_numbers():
         from_text("7 3\n0 1\n")
     with pytest.raises(HypergraphError, match="line 3"):
         from_text("7 3\n0 1 2\n0 1 9\n")
+    with pytest.raises(HypergraphError, match="^line 3: vertex ids must be distinct$"):
+        from_text("3 2\n# c\n0 0\n")
+    with pytest.raises(HypergraphError, match="^line 2: malformed line '0 1 x'$"):
+        from_text("7 3\n0 1 x\n")
+    with pytest.raises(HypergraphError, match="^line 2: expected header 'n r'$"):
+        from_text("# c\n7 3 1\n0 1 2\n")
+    with pytest.raises(HypergraphError, match="^empty input: missing 'n r' header$"):
+        from_text("# only a comment\n\n")
 
 
 @pytest.mark.parametrize("s, detail", [
@@ -694,3 +710,5 @@ def test_canonical_string_errors_name_the_string_and_format(s, detail):
 def test_json_round_trip():
     h = build(4, 3, [[0, 1, 2], [0, 1, 2], [1, 2, 3]])
     assert from_json(h.to_json()) == h
+    with pytest.raises(HypergraphError, match="malformed hypergraph JSON object: 'edges'"):
+        from_json('{"n": 4, "r": 3}')

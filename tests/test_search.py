@@ -16,8 +16,10 @@ from bergeturan.constructions import sunflower_family
 from bergeturan.formulas import classical_bound, bc_value
 from bergeturan.hypergraph import from_canonical_string, is_connected
 from bergeturan.search import (
+    ConjectureReport,
     FamilySpec,
     SearchLimitError,
+    SearchOutcome,
     conjecture_check,
     default_n_limit,
     enumerate_connected_free,
@@ -1274,8 +1276,27 @@ def test_conjecture_check_small_cases():
     assert rep.status == "match"
     rep = conjecture_check(7, 3, 5)
     assert rep.conjectured == 5 and rep.status == "match"
+    rep = conjecture_check(6, 3, 5)
+    assert (rep.outcome.value, rep.conjectured, rep.status) == (5, 4, "exact_exceeds")
+
+
+@pytest.mark.parametrize("status, value, expected", [
+    ("infeasible", None, "infeasible"),
+    ("value", 3, "exact_below"),
+    ("value", 4, "match"),
+    ("value", 5, "exact_exceeds"),
+])
+def test_conjecture_status_compares_the_search_value(status, value, expected):
+    outcome = SearchOutcome(status, value, [], 0, 0.0)
+    assert ConjectureReport(6, 3, 4, 4, 4, outcome).status == expected
 
 
 def test_conjecture_check_range():
     with pytest.raises(ValueError):
         conjecture_check(7, 3, 3)
+
+
+def test_the_suite_runs_under_an_address_space_cap():
+    resource = pytest.importorskip("resource")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    assert soft != resource.RLIM_INFINITY and soft <= 2 << 30

@@ -73,6 +73,22 @@ def test_single_edge_is_degenerate():
         assert "degenerate" in rep.reason
 
 
+def test_disconnected_input_violates_the_preconditions():
+    h = build(6, 3, [[0, 1, 2], [3, 4, 5]])
+    for fn in (sparse_set_check, sparse_set_constructive):
+        rep = fn(h, 1)
+        assert (rep.verdict, rep.reason) == (
+            "precondition_violated", "hypergraph is not connected/spanning")
+
+
+def test_check_finds_no_set_for_the_double_multi_star():
+    # Three double edges through one hub, t = 4: every 8-set meets at
+    # least 4 edge instances and every 9-set at least 6 (README, Findings).
+    rep = sparse_set_check(make_family("multi-star", 13, 5, 5), 2)
+    assert (rep.verdict, rep.t, rep.subset, rep.reason) == (
+        "counterexample", 4, None, "no qualifying subset exists")
+
+
 def test_multiplicity_cap_precondition():
     h = build(5, 3, [[0, 1, 2], [0, 1, 2], [0, 3, 4]])
     rep = sparse_set_check(h, 1)
